@@ -272,7 +272,7 @@ func BenchmarkSuiteProve(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		pvSuite, pvDur, _ := timedSuite(b, 1, nil)
 		start := time.Now()
-		npSuite, err := bench.RunSuiteConfig(1, nil, true)
+		npSuite, err := bench.RunSuiteCore(1, core.Options{NoProve: true})
 		npDur := time.Since(start)
 		if err != nil {
 			b.Fatal(err)

@@ -136,7 +136,7 @@ func usage() {
 
 commands:
   analyze [-j n] [-baselines] [-schedules n] [-timeout d] [-max-steps n]
-          [-retry n] [-no-prescreen] [-debug-snapshots] [-json]
+          [-retry n] [-debug-snapshots] [-json]
           [-stop-after n] [-no-footprint] [-no-prove] [-no-vm]
           [-journal run.wal] [-resume] [-journal-sync n]
           [-trace out.jsonl] [-cache-dir d] [-cache-mem bytes] [-no-cache]
@@ -188,15 +188,14 @@ func cmdAnalyze(args []string) error {
 	noCache := fs.Bool("no-cache", false, "disable the verdict cache")
 	jobs := fs.Int("j", runtime.GOMAXPROCS(0), "concurrent analysis workers (1 = sequential)")
 	schedules := fs.Int("schedules", 3, "number of random permutation schedules (plus reverse)")
-	noPrescreen := fs.Bool("no-prescreen", false, "disable the coverage prescreen (run every loop's golden run)")
 	journalPath := fs.String("journal", "", "write-ahead run journal file (crash-durable verdict log)")
 	resume := fs.Bool("resume", false, "replay -journal and skip already-verdicted loops")
 	syncEvery := fs.Int("journal-sync", 0, "journal fsync batch size (0 = default, 1 = every record)")
 	tracePath := fs.String("trace", "", "append per-loop trace events to this JSONL file")
 	debugSnapshots := fs.Bool("debug-snapshots", false, "keep string snapshots alongside digests for mismatch diagnosis")
 	stopAfter := fs.Int("stop-after", 0, "stop replaying after this many consecutive agreeing schedules (0 = test all)")
-	noFootprint := fs.Bool("no-footprint", false, "disable the footprint fast path (always run schedule replays)")
-	noProve := fs.Bool("no-prove", false, "disable the static commutativity prover (every verdict comes from the dynamic stage)")
+	noFootprint := fs.Bool("no-footprint", false, "decide no loop from the reference run (every analyzed loop runs its golden run)")
+	noProve := fs.Bool("no-prove", false, "disable the static commutativity prover (no verdict comes from a static proof)")
 	noVM := fs.Bool("no-vm", false, "execute with the tree-walking interpreter instead of the bytecode VM")
 	timeout := fs.Duration("timeout", 0, "wall-clock limit per execution (0 = none)")
 	maxSteps := fs.Int64("max-steps", 0, "instruction budget per execution (0 = default 200M)")
@@ -279,7 +278,7 @@ func cmdAnalyze(args []string) error {
 			diskCache.SetTrace(traceSink)
 		}
 	}
-	eopt := engine.Options{Core: opts, Workers: *jobs, NoPrescreen: *noPrescreen}
+	eopt := engine.Options{Core: opts, Workers: *jobs}
 	var jnl *journal.Journal
 	if *journalPath != "" {
 		// The run key ties the journal to this program and configuration:

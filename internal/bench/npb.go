@@ -83,8 +83,14 @@ func RunNPBOptions(spec *npb.Spec, pool *engine.Pool, vc core.VerdictCache) (*NP
 }
 
 // RunNPBConfig additionally controls the static commutativity prover:
-// noProve forces every DCA verdict through the dynamic stage.
+// noProve keeps every DCA verdict from coming from a static proof.
 func RunNPBConfig(spec *npb.Spec, pool *engine.Pool, vc core.VerdictCache, noProve bool) (*NPBResult, error) {
+	return RunNPBCore(spec, pool, core.Options{Cache: vc, NoProve: noProve})
+}
+
+// RunNPBCore runs all six analyzers with DCA configured by opt; an empty
+// schedule set means the suite's two schedules.
+func RunNPBCore(spec *npb.Spec, pool *engine.Pool, opt core.Options) (*NPBResult, error) {
 	prog, err := spec.Compile()
 	if err != nil {
 		return nil, err
@@ -100,7 +106,10 @@ func RunNPBConfig(spec *npb.Spec, pool *engine.Pool, vc core.VerdictCache, noPro
 	r.ID = idioms.Analyze(prog)
 	r.PO = polly.Analyze(prog)
 	r.IC = icc.Analyze(prog)
-	eopt := engine.Options{Core: core.Options{Schedules: npbSchedules(), Cache: vc, NoProve: noProve}, Workers: 1, Pool: pool}
+	if len(opt.Schedules) == 0 {
+		opt.Schedules = npbSchedules()
+	}
+	eopt := engine.Options{Core: opt, Workers: 1, Pool: pool}
 	if r.DCA, err = engine.Analyze(context.Background(), prog, eopt); err != nil {
 		return nil, fmt.Errorf("%s: dca: %w", spec.Name, err)
 	}

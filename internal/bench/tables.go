@@ -44,12 +44,11 @@ func RunSuiteWorkers(workers int) (*Suite, error) {
 // suite: a warm cache serves every previously analyzed loop without
 // re-running its dynamic stage.
 func RunSuiteOptions(workers int, vc core.VerdictCache) (*Suite, error) {
-	return RunSuiteConfig(workers, vc, false)
+	return RunSuiteCore(workers, core.Options{Cache: vc})
 }
 
-// RunSuiteConfig additionally controls the static commutativity prover:
-// noProve forces every DCA verdict through the dynamic stage.
-func RunSuiteConfig(workers int, vc core.VerdictCache, noProve bool) (*Suite, error) {
+// RunSuiteCore runs the suite with DCA configured by opt (see RunNPBCore).
+func RunSuiteCore(workers int, opt core.Options) (*Suite, error) {
 	if workers < 1 {
 		workers = 1
 	}
@@ -68,7 +67,7 @@ func RunSuiteConfig(workers int, vc core.VerdictCache, noProve bool) (*Suite, er
 			defer wg.Done()
 			gate <- struct{}{}
 			defer func() { <-gate }()
-			results[i], errs[i] = RunNPBConfig(spec, pool, vc, noProve)
+			results[i], errs[i] = RunNPBCore(spec, pool, opt)
 		}(i, spec)
 	}
 	wg.Wait()
@@ -321,14 +320,20 @@ type PLDSResult struct {
 
 // RunPLDS analyzes one PLDS workload end to end.
 func RunPLDS(p *plds.Program) (*PLDSResult, error) {
+	return RunPLDSCore(p, core.Options{})
+}
+
+// RunPLDSCore analyzes one PLDS workload end to end with DCA configured by
+// opt; its schedule set is always the harness's own.
+func RunPLDSCore(p *plds.Program, opt core.Options) (*PLDSResult, error) {
 	prog, err := p.Compile()
 	if err != nil {
 		return nil, err
 	}
 	res := &PLDSResult{Program: p}
-	dcaRes, err := core.AnalyzeLoop(prog, p.KeyFn, p.KeyLoop, core.Options{
-		Schedules: []dcart.Schedule{dcart.Reverse{}, dcart.Random{Seed: 1}, dcart.Random{Seed: 2}},
-	})
+	keyOpt := opt
+	keyOpt.Schedules = []dcart.Schedule{dcart.Reverse{}, dcart.Random{Seed: 1}, dcart.Random{Seed: 2}}
+	dcaRes, err := core.AnalyzeLoop(prog, p.KeyFn, p.KeyLoop, keyOpt)
 	if err != nil {
 		return nil, fmt.Errorf("%s: dca: %w", p.Name, err)
 	}
@@ -364,9 +369,9 @@ func RunPLDS(p *plds.Program) (*PLDSResult, error) {
 		// DCA parallelization of the whole program: every commutative loop
 		// is a candidate, the profitability filter and outermost selection
 		// pick the parallel regions (as for the NPB suite).
-		full, err := engine.Analyze(context.Background(), prog, engine.Options{Core: core.Options{
-			Schedules: []dcart.Schedule{dcart.Reverse{}, dcart.Random{Seed: 1}},
-		}})
+		fullOpt := opt
+		fullOpt.Schedules = []dcart.Schedule{dcart.Reverse{}, dcart.Random{Seed: 1}}
+		full, err := engine.Analyze(context.Background(), prog, engine.Options{Core: fullOpt})
 		if err != nil {
 			return nil, fmt.Errorf("%s: dca full: %w", p.Name, err)
 		}

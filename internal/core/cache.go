@@ -32,13 +32,15 @@ const (
 	// write-ahead run journal (`dca analyze -resume`); neither the static
 	// nor the dynamic stage ran in this process.
 	ProvenanceJournaled = "journaled"
-	// ProvenanceFootprint: the golden run proved the loop's iterations
+	// ProvenanceFootprint: the reference run showed the loop's iterations
 	// touch pairwise-disjoint heap cells, so the Commutative verdict was
-	// issued without running any schedule replay.
+	// issued without any instrumented execution.
 	ProvenanceFootprint = "footprint-proved"
 	// ProvenanceProved: the static commutativity prover (internal/prove)
-	// closed a symbolic proof, so the Commutative verdict was issued after
-	// the golden run (the coverage witness) without any schedule replay.
+	// closed a symbolic proof, so the Commutative verdict was issued
+	// without any schedule replay — and without the golden run, unless the
+	// reference run could not witness coverage (NoFootprint, a re-entered
+	// loop).
 	ProvenanceProved = "static-proved"
 )
 

@@ -3,6 +3,9 @@
 // iterator/payload separation, outlining, instrumentation) and the dynamic
 // stage (golden execution plus permuted executions under a set of
 // schedules, with live-out verification), and reports a per-loop Verdict.
+// One uninstrumented reference run per program decides many loops before
+// their dynamic stage: those it saw run zero iterations, proved by the
+// static prover, or touch disjoint heap cells in every iteration.
 package core
 
 import (
@@ -75,7 +78,9 @@ type LoopResult struct {
 	Depth   int
 	Verdict Verdict
 	Reason  string
-	// Invocations/Iterations observed during the golden run.
+	// Invocations/Iterations count the loop's entries from outside and its
+	// payload executions, observed by the reference run for a loop it
+	// decides and by the golden run otherwise (the two agree).
 	Invocations int
 	Iterations  int64
 	// SchedulesTested counts permutation schedules that completed.
@@ -92,19 +97,19 @@ type LoopResult struct {
 	// Replays counts the instrumented executions this analysis consumed —
 	// the golden run plus every schedule replay folded into the verdict
 	// (doubled-budget retries are tracked separately in Retries). A cached
-	// outcome consumes none.
+	// outcome consumes none, and neither does a loop decided from the
+	// reference run (not executed, static-proved, or footprint-proved).
 	Replays int
 	// SkippedStop counts schedule replays the sequential stopping rule
 	// (Options.StopAfter) skipped after enough consecutive agreements.
 	SkippedStop int
 	// SkippedFootprint counts schedule replays the footprint fast path
-	// skipped: the golden run proved the loop's iterations touch disjoint
+	// skipped: the reference run showed the loop's iterations touch disjoint
 	// memory, so every permutation is behaviour-preserving by construction.
 	SkippedFootprint int
 	// SkippedProve counts the schedule replays the static commutativity
 	// prover skipped by closing a symbolic proof before the dynamic stage:
-	// the golden run still executes as the coverage witness, but every
-	// permuted replay could only reconfirm the proof.
+	// every permuted replay could only reconfirm the proof.
 	SkippedProve int
 	// DurStatic/DurGolden/DurReplay split the loop's analysis wall-clock
 	// into the static stage (separation, outlining, instrumentation), the
@@ -268,24 +273,34 @@ type Options struct {
 	// It trades evidence for time — a skipped schedule could have diverged —
 	// so it participates in the verdict fingerprint. 0 tests every schedule.
 	StopAfter int
-	// NoFootprint disables the footprint fast path. By default the golden
-	// run records every heap cell each iteration reads and writes; when the
-	// per-iteration footprints are pairwise disjoint, reordering iterations
-	// cannot change any observable behaviour, so the replays are skipped and
-	// the loop reports Commutative with provenance ProvenanceFootprint.
+	// NoFootprint turns off every decision from the reference run and
+	// restores the per-loop golden-run path: every loop that reaches the
+	// dynamic stage runs its golden run, proved loops included. By default
+	// the one reference run of the program records, for every loop at once,
+	// its invocation and iteration counts and every heap cell each iteration
+	// reads and writes. A loop is then decided without any instrumented
+	// execution when it ran zero iterations (NotExecuted), when the prover
+	// closed a proof (Commutative, ProvenanceProved), or when no cell written
+	// in one iteration was touched by another iteration of the same
+	// invocation — reordering iterations then cannot change any observable
+	// behaviour (Commutative, ProvenanceFootprint). Verdicts are identical
+	// either way, so NoFootprint is the differential oracle for those
+	// decisions.
 	NoFootprint bool
 	// NoProve disables the static commutativity prover. By default the
 	// prover (internal/prove) runs between the static and dynamic stages and
 	// attempts a symbolic proof — affine-disjoint accesses, pure payloads
 	// over disjoint footprints, or closed reduction/min-max/histogram
 	// recurrences — that every iteration order is behaviour-preserving. A
-	// proved loop still runs the golden run (the proof cannot witness
-	// coverage: a never-exercised loop must keep its NotExecuted verdict)
-	// but skips every schedule replay, reporting Commutative with provenance
-	// ProvenanceProved; a failed proof falls through to the dynamic stage
-	// unchanged. Disabling the prover turns the dynamic stage back into a
-	// differential oracle for it: verdicts are identical either way, the
-	// prover only removes replay work.
+	// proof cannot witness coverage — a never-exercised loop must keep its
+	// NotExecuted verdict — so the reference run supplies it: a proved loop
+	// whose payload ran reports Commutative with provenance ProvenanceProved
+	// and runs no instrumented execution. Under NoFootprint, or for a loop
+	// the reference run cannot vouch for, the golden run is the coverage
+	// witness and only the schedule replays are skipped. A failed proof
+	// falls through unchanged. Disabling the prover turns the dynamic stage
+	// back into a differential oracle for it: verdicts are identical either
+	// way, the prover only removes work.
 	NoProve bool
 	// NoVM runs every execution of this analysis on the tree-walking
 	// interpreter instead of the bytecode VM. The two executors are
@@ -311,9 +326,9 @@ type Options struct {
 	// the key contract and internal/cache for the production store.
 	Cache VerdictCache
 	// Trace, when non-nil, receives one structured event per stage of
-	// every loop's analysis lifecycle (static outcome, prescreen skip,
-	// cache lookup, golden run, each schedule replay, final verdict) plus
-	// one program-level event per reference execution. The sink must be
+	// every loop's analysis lifecycle (static outcome, cache lookup,
+	// zero-iteration skip, prover attempt, golden run, each schedule replay,
+	// final verdict) plus one program-level event per reference execution. The sink must be
 	// safe for concurrent use; it observes the analysis and must never
 	// influence it. Not part of the fingerprinted inputs.
 	Trace obs.Sink
@@ -382,18 +397,10 @@ func (o *Options) InjectionEnabled() bool {
 func Analyze(prog *ir.Program, opt Options) (*Report, error) {
 	opt.normalize()
 	rep := &Report{Prog: prog}
-
-	// Reference output of the unmodified program. A trap here is fatal for
-	// the whole analysis: with no reference behaviour there is nothing to
-	// compare any loop's replays against.
-	var refOut strings.Builder
-	refStart := time.Now()
-	if oc := sandbox.Run(nil, prog, interp.Config{Out: &refOut, NoVM: opt.NoVM}, opt.Limits(), nil); !oc.OK() {
-		return nil, fmt.Errorf("core: reference execution failed (%s): %w", oc.Trap.Kind, oc.Trap)
+	ref, err := RunReference(nil, prog, opt)
+	if err != nil {
+		return nil, err
 	}
-	opt.emit(obs.Event{Stage: obs.StageReference, Outcome: obs.OutcomeOK,
-		DurationMS: float64(time.Since(refStart)) / float64(time.Millisecond)})
-
 	pur := purity.Analyze(prog)
 
 	for _, fn := range prog.Funcs {
@@ -407,7 +414,7 @@ func Analyze(prog *ir.Program, opt Options) (*Report, error) {
 				Depth: loop.Depth,
 			}
 			rep.Loops = append(rep.Loops, res)
-			AnalyzeLoopInto(context.Background(), prog, fn, loop, pur, opt, refOut.String(), res, false, nil)
+			AnalyzeLoopInto(context.Background(), prog, fn, loop, pur, opt, ref, res, nil)
 		}
 	}
 	sort.SliceStable(rep.Loops, func(i, j int) bool {
@@ -431,13 +438,84 @@ func AnalyzeLoop(prog *ir.Program, fnName string, loopIndex int, opt Options) (*
 		return nil, fmt.Errorf("core: %s has %d loops", fnName, len(loops))
 	}
 	loop := loops[loopIndex]
-	var refOut strings.Builder
-	if oc := sandbox.Run(nil, prog, interp.Config{Out: &refOut, NoVM: opt.NoVM}, opt.Limits(), nil); !oc.OK() {
-		return nil, fmt.Errorf("core: reference execution failed (%s): %w", oc.Trap.Kind, oc.Trap)
+	ref, err := RunReference(nil, prog, opt)
+	if err != nil {
+		return nil, err
 	}
 	res := &LoopResult{Fn: fnName, Index: loopIndex, ID: loop.ID(), Pos: loop.Header.Pos, Depth: loop.Depth}
-	AnalyzeLoopInto(context.Background(), prog, fn, loop, purity.Analyze(prog), opt, refOut.String(), res, false, nil)
+	AnalyzeLoopInto(context.Background(), prog, fn, loop, purity.Analyze(prog), opt, ref, res, nil)
 	return res, nil
+}
+
+// Reference is what one uninstrumented run of the whole program observed:
+// its output, which every instrumented run must reproduce, and — unless
+// Options.NoFootprint is set — each loop's invocation and iteration counts
+// and whether its iterations touched disjoint heap cells. AnalyzeLoopInto
+// decides loops from this evidence without any instrumented execution.
+type Reference struct {
+	// Out is the program's output.
+	Out   string
+	loops *interp.LoopRecorder
+}
+
+// RunReference runs prog once, uninstrumented, under opt's budgets and
+// executor, recording every loop at once unless opt.NoFootprint is set. It
+// emits one reference trace event, ok or trap. A trap is fatal for the
+// whole analysis — with no reference behaviour there is nothing to compare
+// any loop's runs against — and so is a cancelled ctx (nil means
+// Background), which the error then wraps.
+func RunReference(ctx context.Context, prog *ir.Program, opt Options) (*Reference, error) {
+	start := time.Now()
+	var out strings.Builder
+	cfg := interp.Config{Out: &out, NoVM: opt.NoVM}
+	if !opt.NoFootprint {
+		cfg.Loops = interp.NewLoopRecorder(prog)
+	}
+	oc := sandbox.Run(ctx, prog, cfg, opt.Limits(), nil)
+	ev := obs.Event{Stage: obs.StageReference, Outcome: obs.OutcomeOK,
+		DurationMS: float64(time.Since(start)) / float64(time.Millisecond)}
+	if !oc.OK() {
+		ev.Outcome, ev.Trap, ev.Err = obs.OutcomeTrap, oc.Trap.Kind.String(), oc.Trap.Err.Error()
+		opt.emit(ev)
+		if cancelled(ctx) {
+			return nil, fmt.Errorf("core: analysis cancelled during reference execution: %w", context.Cause(ctx))
+		}
+		return nil, fmt.Errorf("core: reference execution failed (%s): %w", oc.Trap.Kind, oc.Trap)
+	}
+	opt.emit(ev)
+	return &Reference{Out: out.String(), loops: cfg.Loops}, nil
+}
+
+// observed returns the reference run's evidence for one loop, counting its
+// iterations at the payload-entry block separation chose. ok is false when
+// the run recorded nothing (NoFootprint) or the loop was re-entered while
+// active: a recursive loop is only ever decided by its golden run.
+func (r *Reference) observed(fn *ir.Func, loop *cfg.Loop, inst *instrument.Instrumented) (run interp.LoopRun, ok bool) {
+	if r.loops == nil {
+		return run, false
+	}
+	entry := -1
+	for i, b := range inst.Fn.Blocks {
+		if b == inst.Sep.B0 {
+			entry = i
+			break
+		}
+	}
+	run, ok = r.loops.Loop(fn, loop.Index, entry)
+	return run, ok && !run.Reentered
+}
+
+// payloadWritesEnv reports whether the payload assigns a local it shares
+// with other iterations through the environment object. The reference run
+// cannot see such a local's cross-iteration flow: it lives in a register
+// there, and in a heap field only in the instrumented program.
+func payloadWritesEnv(inst *instrument.Instrumented) bool {
+	for _, l := range inst.Sep.EnvLocals {
+		if inst.Sep.PayloadDefSet[l] {
+			return true
+		}
+	}
+	return false
 }
 
 // runCell executes the instrumented program under a fresh runtime from
@@ -452,7 +530,7 @@ func runCell(ctx context.Context, prog *ir.Program, mkRT func() *dcart.Runtime, 
 	oc, retries := sandbox.RunRetry(ctx, prog, func() interp.Config {
 		rt = mkRT()
 		out.Reset()
-		return interp.Config{Out: &out, Runtime: rt, Footprint: rt.Footprint, NoVM: opt.NoVM}
+		return interp.Config{Out: &out, Runtime: rt, NoVM: opt.NoVM}
 	}, opt.Limits(), inj, opt.Retries)
 	return rt, out.String(), oc.Trap, retries
 }
@@ -511,14 +589,16 @@ func sequentialExecutor(_ int, runOne func(i int) ScheduleOutcome) func(i int) S
 //   - ctx cancellation aborts the analysis: the loop reports Cancelled
 //     (a context-level outcome, never cached) and in-flight replays stop
 //     at the interpreter's next cancellation check. ctx may be nil.
-//   - prescreened declares that a coverage prescreen proved the loop's
-//     header never executes in the reference run. The static stage (I/O
-//     exclusion, separation, instrumentation) still runs — a never-executed
-//     I/O loop must still report ExcludedIO and a non-separable one
-//     NotSeparable, same as sequentially — but the golden run and every
-//     replay are skipped and the loop short-circuits to NotExecuted.
+//   - ref is the program's reference run (RunReference). Its per-loop
+//     evidence decides three kinds of loop after the static stage, without
+//     any instrumented execution: zero iterations (NotExecuted), a static
+//     proof (Commutative, static-proved), and iteration-disjoint heap
+//     footprints (Commutative, footprint-proved). The static stage (I/O
+//     exclusion, separation, instrumentation) always runs first — a
+//     never-executed I/O loop must still report ExcludedIO and a
+//     non-separable one NotSeparable.
 //   - exec chooses how schedule replays execute (nil = sequential).
-func AnalyzeLoopInto(ctx context.Context, prog *ir.Program, fn *ir.Func, loop *cfg.Loop, pur *purity.Info, opt Options, refOut string, res *LoopResult, prescreened bool, exec ScheduleExecutor) {
+func AnalyzeLoopInto(ctx context.Context, prog *ir.Program, fn *ir.Func, loop *cfg.Loop, pur *purity.Info, opt Options, ref *Reference, res *LoopResult, exec ScheduleExecutor) {
 	start := time.Now()
 	// Registered first so it runs last: the verdict event carries whatever
 	// the panic recovery below settled on.
@@ -587,56 +667,65 @@ func AnalyzeLoopInto(ctx context.Context, prog *ir.Program, fn *ir.Func, loop *c
 		opt.emit(obs.Event{Stage: obs.StageCache, Fn: res.Fn, LoopID: res.ID, Outcome: obs.OutcomeMiss})
 	}
 
-	// --- Coverage prescreen: the reference run proved the loop header never
-	// executes, so the golden run could only confirm zero iterations. Skip
-	// it and every replay. (Placed after the static stage on purpose —
-	// selection and separability verdicts must not depend on coverage — and
-	// BEFORE the prover: execution evidence outranks a symbolic proof, so a
-	// never-reached loop keeps the NotExecuted verdict the golden run would
-	// have produced, and the prover's work is saved.)
-	if prescreened {
-		res.Verdict = NotExecuted
-		res.Reason = "workload never executes this loop's payload"
-		opt.emit(obs.Event{Stage: obs.StagePrescreen, Fn: res.Fn, LoopID: res.ID, Outcome: obs.OutcomeSkipped})
-		return
+	// --- Reference evidence: the reference run counted this loop's
+	// invocations and iterations and recorded its footprint. Armed fault
+	// injection bypasses it, as it bypasses the prover and the cache: an
+	// injected trap is dynamic-stage harness behaviour no decision from the
+	// reference run may suppress.
+	var seen interp.LoopRun
+	decidable := false
+	if inj == nil {
+		seen, decidable = ref.observed(fn, loop, inst)
 	}
 
-	// --- Static commutativity prover: attempt a symbolic proof that every
-	// iteration order is behaviour-preserving. A successful proof skips
-	// every schedule replay — but NOT the golden run, which stays as the
-	// coverage witness: a proof quantifies over iteration orders, it cannot
-	// tell whether the workload exercises the loop at all, and a
-	// never-exercised loop must report NotExecuted exactly as it would with
-	// the prover off. The proved verdict is cached like a dynamic one
-	// (NoProve participates in the fingerprint, so proved and
-	// dynamically-tested records never alias); a failed attempt falls
-	// through to the dynamic stage unchanged. Armed fault injection
-	// bypasses the prover: injected traps are dynamic-stage harness
-	// behaviour a proof would silently suppress.
-	proved := false
-	if !opt.NoProve && inj == nil {
-		pstart := time.Now()
-		pr := prove.Loop(prog, fn.Name, loop.Index, pur)
-		dur := float64(time.Since(pstart)) / float64(time.Millisecond)
-		if pr.Proved {
-			// Cancellation wins even over an already-closed proof: the
-			// engine's contract is that a cancelled analysis reports
-			// Cancelled for every loop whose dynamic stage had not fully
-			// concluded, and caches nothing.
+	// --- Zero iterations: the workload never runs this loop's payload, so
+	// the golden run could only confirm it. (After the static stage on
+	// purpose — selection and separability verdicts must not depend on
+	// coverage — and BEFORE the prover: execution evidence outranks a
+	// symbolic proof, so a never-exercised loop reports NotExecuted with or
+	// without the prover, and the proof attempt is saved.)
+	if decidable && seen.Iterations == 0 {
+		if cancelled(ctx) {
+			markCancelled(ctx, res)
+			return
+		}
+		res.Verdict = NotExecuted
+		res.Reason = "workload never executes this loop's payload"
+		res.Invocations = int(seen.Invocations)
+		opt.emit(obs.Event{Stage: obs.StagePrescreen, Fn: res.Fn, LoopID: res.ID, Outcome: obs.OutcomeSkipped})
+	} else {
+		proved, ok := proveLoop(ctx, prog, fn, loop, pur, &opt, res, inj)
+		if !ok {
+			return
+		}
+		switch {
+		case decidable && (proved || seen.Disjoint && !payloadWritesEnv(inst)):
+			// A proof quantifies over iteration orders and the reference
+			// run shows the workload exercises the payload; or the
+			// reference run saw no heap cell shared between two iterations
+			// of one invocation, so reordering them cannot change any
+			// observable behaviour. Either way every instrumented run could
+			// only reconfirm the verdict. Cancellation still wins: a
+			// cancelled analysis reports Cancelled for every loop whose
+			// verdict had not landed, and caches nothing.
 			if cancelled(ctx) {
 				markCancelled(ctx, res)
 				return
 			}
-			proved = true
-			opt.emit(obs.Event{Stage: obs.StageProve, Fn: res.Fn, LoopID: res.ID,
-				Outcome: obs.OutcomeProved, Reason: pr.Argument, DurationMS: dur})
-		} else {
-			opt.emit(obs.Event{Stage: obs.StageProve, Fn: res.Fn, LoopID: res.ID,
-				Outcome: obs.OutcomeMiss, Reason: pr.Reason, DurationMS: dur})
+			res.Verdict = Commutative
+			res.Invocations = int(seen.Invocations)
+			res.Iterations = seen.Iterations
+			if proved {
+				res.Provenance = ProvenanceProved
+				res.SkippedProve = len(opt.Schedules)
+			} else {
+				res.Provenance = ProvenanceFootprint
+				res.SkippedFootprint = len(opt.Schedules)
+			}
+		default:
+			dynamicStage(ctx, inst, &opt, ref.Out, res, inj, exec, proved)
 		}
 	}
-
-	dynamicStage(ctx, inst, &opt, refOut, res, inj, exec, proved)
 
 	// Store the freshly computed outcome for future runs. Reached only on
 	// normal completion: a panic unwinds past this into the recover above,
@@ -650,32 +739,54 @@ func AnalyzeLoopInto(ctx context.Context, prog *ir.Program, fn *ir.Func, loop *c
 	}
 }
 
+// proveLoop attempts the static commutativity prover's symbolic proof
+// that every iteration order is behaviour-preserving (affine-disjoint
+// accesses, pure payloads over disjoint footprints, or closed
+// reduction/min-max/histogram recurrences). NoProve and armed fault
+// injection skip it: injected traps are dynamic-stage harness behaviour a
+// proof would silently suppress. A proved verdict is cached like a dynamic
+// one (NoProve participates in the fingerprint, so proved and
+// dynamically-tested records never alias). ok is false when a cancellation
+// landed with the proof: the loop is then marked Cancelled and must not
+// report the proof.
+func proveLoop(ctx context.Context, prog *ir.Program, fn *ir.Func, loop *cfg.Loop, pur *purity.Info, opt *Options, res *LoopResult, inj *sandbox.Injector) (proved, ok bool) {
+	if opt.NoProve || inj != nil {
+		return false, true
+	}
+	pstart := time.Now()
+	pr := prove.Loop(prog, fn.Name, loop.Index, pur)
+	dur := float64(time.Since(pstart)) / float64(time.Millisecond)
+	if !pr.Proved {
+		opt.emit(obs.Event{Stage: obs.StageProve, Fn: res.Fn, LoopID: res.ID,
+			Outcome: obs.OutcomeMiss, Reason: pr.Reason, DurationMS: dur})
+		return false, true
+	}
+	// Cancellation wins even over an already-closed proof: the engine's
+	// contract is that a cancelled analysis reports Cancelled for every loop
+	// whose verdict had not landed, and caches nothing.
+	if cancelled(ctx) {
+		markCancelled(ctx, res)
+		return false, false
+	}
+	opt.emit(obs.Event{Stage: obs.StageProve, Fn: res.Fn, LoopID: res.ID,
+		Outcome: obs.OutcomeProved, Reason: pr.Argument, DurationMS: dur})
+	return true, true
+}
+
 // dynamicStage runs the golden execution and the permuted replays for one
 // instrumented loop and writes the verdict into res. Split from
 // AnalyzeLoopInto so the cache layer wraps exactly the replay work and
 // nothing else. proved reports that the static prover already closed a
-// commutativity proof: the golden run still executes (coverage and
-// behaviour-preservation evidence), but every schedule replay is skipped.
+// commutativity proof the reference run could not confirm (NoFootprint, a
+// re-entered loop, armed injection): the golden run executes as the
+// coverage witness, but every schedule replay is skipped.
 func dynamicStage(ctx context.Context, inst *instrument.Instrumented, optp *Options, refOut string, res *LoopResult, inj *sandbox.Injector, exec ScheduleExecutor, proved bool) {
 	opt := *optp
 
 	// --- Dynamic stage: golden run. ---
-	// Unless disabled, the golden run doubles as the footprint-proof
-	// attempt: the runtime brackets each payload execution into a segment
-	// and the executor reports every heap cell it touches. A fresh recorder
-	// per attempt keeps doubled-budget retries from seeing a dead run's
-	// accesses. Fault injection runs without a recorder — an injected trap
-	// aborts mid-segment and the partial footprint proves nothing. A static
-	// proof already decided the replays, so the recorder's evidence would go
-	// unused — skip the tracking cost.
-	track := !opt.NoFootprint && inj == nil && !proved
 	gstart := time.Now()
 	golden, goldenOut, trap, retries := runCell(ctx, inst.Prog, func() *dcart.Runtime {
-		rt := newRuntime(dcart.Identity{}, &opt)
-		if track {
-			rt.Footprint = interp.NewFootprint()
-		}
-		return rt
+		return newRuntime(dcart.Identity{}, &opt)
 	}, opt, inj)
 	res.DurGolden = time.Since(gstart)
 	emitRun(&opt, obs.Event{Stage: obs.StageGolden, Fn: res.Fn, LoopID: res.ID,
@@ -735,30 +846,6 @@ func dynamicStage(ctx context.Context, inst *instrument.Instrumented, optp *Opti
 		res.Verdict = Commutative
 		res.Provenance = ProvenanceProved
 		res.SkippedProve = len(opt.Schedules)
-		return
-	}
-
-	// --- Footprint fast path: the golden run observed every heap cell each
-	// iteration reads and writes. If no cell written in one iteration is
-	// touched by another, the iterations are independent computations over
-	// disjoint state — any permutation produces the same cell values, the
-	// same live-out graphs, and (payloads being I/O-free past selection) the
-	// same output. The replays could only reconfirm that, so they are
-	// skipped. Same evidentiary standard as the replays themselves: a
-	// dynamic claim about the observed workload, not all inputs.
-	if track && golden.Footprint.Disjoint() {
-		// Cancellation wins even over an already-provable verdict: the
-		// engine's contract is that a cancelled analysis deterministically
-		// reports Cancelled for every loop whose dynamic stage had not fully
-		// concluded, and caches nothing — regardless of which fast path
-		// would have fired.
-		if cancelled(ctx) {
-			markCancelled(ctx, res)
-			return
-		}
-		res.Verdict = Commutative
-		res.Provenance = ProvenanceFootprint
-		res.SkippedFootprint = len(opt.Schedules)
 		return
 	}
 

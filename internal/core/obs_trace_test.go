@@ -1,12 +1,15 @@
 package core_test
 
 import (
+	"context"
 	"sync"
 	"testing"
 
 	"dca/internal/core"
+	"dca/internal/engine"
 	"dca/internal/irbuild"
 	"dca/internal/obs"
+	"dca/internal/sandbox"
 )
 
 // mapCache is a minimal VerdictCache for trace tests.
@@ -39,10 +42,10 @@ func loopEvents(events []obs.Event) map[string][]obs.Event {
 	return byLoop
 }
 
-// TestTraceEventLifecycle: one analysis (prover off, so the dynamic stage
-// runs) emits a reference event and, per loop, static → cache miss →
-// golden → one replay per schedule → verdict, in that order, with the
-// verdict events agreeing with the report.
+// TestTraceEventLifecycle: one analysis (prover off and no decisions from
+// the reference run, so the dynamic stage runs) emits a reference event
+// and, per loop, static → cache miss → golden → one replay per schedule →
+// verdict, in that order, with the verdict events agreeing with the report.
 func TestTraceEventLifecycle(t *testing.T) {
 	prog, err := irbuild.Compile("trace.mc", `
 func main() {
@@ -60,7 +63,7 @@ func main() {
 		t.Fatal(err)
 	}
 	col := &obs.Collector{}
-	rep, err := core.Analyze(prog, core.Options{Trace: col, Cache: newMapCache(), NoProve: true})
+	rep, err := core.Analyze(prog, core.Options{Trace: col, Cache: newMapCache(), NoProve: true, NoFootprint: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,10 +153,11 @@ func main() {
 }
 
 // TestTraceProvedLifecycle: a loop the static commutativity prover decides
-// emits static → cache miss → prove(proved, argument in Reason) → golden
-// (the coverage witness) → verdict, with no schedule replay, and the
-// verdict carries static-proved provenance. A second run serves the proved
-// record from the cache.
+// emits static → cache miss → prove(proved, argument in Reason) → verdict,
+// with no instrumented execution at all — the reference run is the
+// coverage witness and supplies the invocation and iteration counts — and
+// the verdict carries static-proved provenance. A second run serves the
+// proved record from the cache.
 func TestTraceProvedLifecycle(t *testing.T) {
 	prog, err := irbuild.Compile("trace.mc", `
 func main() {
@@ -176,18 +180,18 @@ func main() {
 	if lr.Verdict != core.Commutative || lr.Provenance != core.ProvenanceProved {
 		t.Fatalf("verdict %s (%s), want commutative static-proved", lr.Verdict, lr.Provenance)
 	}
-	if lr.Replays != 1 || lr.SkippedProve == 0 {
-		t.Errorf("proved loop ran %d executions, skipped %d, want exactly the golden run and >0 skipped replays", lr.Replays, lr.SkippedProve)
+	if lr.Replays != 0 || lr.SkippedProve == 0 {
+		t.Errorf("proved loop ran %d executions, skipped %d, want none and >0 skipped replays", lr.Replays, lr.SkippedProve)
 	}
-	if lr.Invocations == 0 || lr.Iterations == 0 {
-		t.Errorf("proved loop invocations/iterations = %d/%d, want golden-run coverage evidence", lr.Invocations, lr.Iterations)
+	if lr.Invocations != 1 || lr.Iterations != 8 {
+		t.Errorf("proved loop invocations/iterations = %d/%d, want the reference run's 1/8", lr.Invocations, lr.Iterations)
 	}
 	evs := loopEvents(col.Events()[1:])[lr.ID]
 	stages := make([]string, len(evs))
 	for i, ev := range evs {
 		stages[i] = ev.Stage
 	}
-	want := []string{obs.StageStatic, obs.StageCache, obs.StageProve, obs.StageGolden, obs.StageVerdict}
+	want := []string{obs.StageStatic, obs.StageCache, obs.StageProve, obs.StageVerdict}
 	if len(stages) != len(want) {
 		t.Fatalf("proved loop events %v, want %v", stages, want)
 	}
@@ -212,5 +216,43 @@ func main() {
 	}
 	if lr2.SkippedProve != lr.SkippedProve {
 		t.Errorf("warm SkippedProve = %d, want %d", lr2.SkippedProve, lr.SkippedProve)
+	}
+}
+
+// TestTraceReferenceTrap: when the reference run traps, the analysis fails
+// with a single reference event carrying the trap, on the sequential path
+// and on the engine alike.
+func TestTraceReferenceTrap(t *testing.T) {
+	prog, err := irbuild.Compile("trap.mc", `
+func main() {
+	var a []int = new [4]int;
+	for (var i int = 0; i < 8; i++) {
+		a[i] = i;
+	}
+	print(a[0]);
+}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	analyses := map[string]func(core.Options) error{
+		"core": func(opt core.Options) error { _, err := core.Analyze(prog, opt); return err },
+		"engine": func(opt core.Options) error {
+			_, err := engine.Analyze(context.Background(), prog, engine.Options{Core: opt, Workers: 2})
+			return err
+		},
+	}
+	for name, analyze := range analyses {
+		col := &obs.Collector{}
+		if err := analyze(core.Options{Trace: col}); err == nil {
+			t.Fatalf("%s: analysis of a faulting program succeeded", name)
+		}
+		events := col.Events()
+		if len(events) != 1 {
+			t.Fatalf("%s: %d events %+v, want one reference event", name, len(events), events)
+		}
+		if ev := events[0]; ev.Stage != obs.StageReference || ev.Outcome != obs.OutcomeTrap ||
+			ev.Trap != sandbox.Fault.String() || ev.Err == "" {
+			t.Errorf("%s: event %+v, want a reference trap with kind fault and an error", name, ev)
+		}
 	}
 }

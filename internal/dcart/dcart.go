@@ -102,11 +102,6 @@ type Runtime struct {
 	// original order. This isolates one context's permutation effects so
 	// they can be attributed precisely.
 	OnlyContext string
-	// Footprint, when non-nil, is told where driver iterations begin and
-	// end so the executor's heap-access stream can be segmented per
-	// iteration (the dynamic stage's footprint fast path). The same
-	// recorder must be installed in the executor's interp.Config.
-	Footprint *interp.Footprint
 
 	records [][]ir.Value
 	order   []int
@@ -166,13 +161,7 @@ func (rt *Runtime) Intrinsic(_ interp.Env, fr *interp.Frame, name string, args [
 		rt.cursor++
 		if rt.cursor < len(rt.order) {
 			rt.Iterations++
-			if rt.Footprint != nil {
-				rt.Footprint.BeginSegment()
-			}
 			return ir.BoolVal(true), nil
-		}
-		if rt.Footprint != nil {
-			rt.Footprint.EndSegment()
 		}
 		return ir.BoolVal(false), nil
 	case instrument.RTGet:
@@ -200,9 +189,6 @@ func (rt *Runtime) Intrinsic(_ interp.Env, fr *interp.Frame, name string, args [
 		rt.order = nil
 		rt.driving = false
 		rt.Invocations++
-		if rt.Footprint != nil {
-			rt.Footprint.EndInvocation()
-		}
 		return ir.Value{}, nil
 	}
 	return ir.Value{}, fmt.Errorf("dcart: unknown intrinsic %q", name)

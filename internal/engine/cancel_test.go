@@ -69,9 +69,11 @@ func TestAnalyzeCancelledMidFlight(t *testing.T) {
 	opt := testOptions()
 	opt.Trace = sink
 	opt.Cache = spy
-	// Prover off: the cancel trigger is the first golden run, which a
-	// static proof of these loops would skip entirely.
+	// Prover off and no decisions from the reference run: the cancel
+	// trigger is the first golden run, which a static proof or the
+	// reference run's footprint would skip for these loops entirely.
 	opt.NoProve = true
+	opt.NoFootprint = true
 	// One worker: loops run in order, so the cancel lands during loop 0's
 	// dynamic stage and every later loop sees a dead context at entry.
 	rep, err := engine.Analyze(ctx, prog, engine.Options{Core: opt, Workers: 1})

@@ -17,10 +17,10 @@
 //     counter) forces schedule replays inline on their loop's worker, so
 //     trips are consumed in sequential order.
 //
-// The engine also adds a coverage prescreen: the reference execution runs
-// once with block counting enabled, and loops whose header never executes
-// skip the golden run and every replay — the workload cannot produce
-// evidence for them — going straight to NotExecuted after the static stage.
+// The reference execution runs once per program (core.RunReference), and
+// its per-loop evidence lets core.AnalyzeLoopInto decide most loops without
+// any instrumented execution; only the rest fan out golden runs and
+// replays.
 //
 // Every analysis is request-scoped: the caller's context flows into the
 // reference execution, every loop's dynamic stage, and every offloaded
@@ -31,21 +31,17 @@ package engine
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"dca/internal/cfg"
 	"dca/internal/core"
-	"dca/internal/interp"
 	"dca/internal/ir"
 	"dca/internal/obs"
 	"dca/internal/purity"
-	"dca/internal/sandbox"
 )
 
 // Pool is a counting semaphore shared by every analysis a caller fans out:
@@ -119,9 +115,6 @@ type Options struct {
 	// Pool, when non-nil, shares a worker budget across several Analyze
 	// calls (suite-level fan-out); Workers is ignored then.
 	Pool *Pool
-	// NoPrescreen disables the coverage prescreen, forcing every loop
-	// through the golden run like the sequential path.
-	NoPrescreen bool
 	// Journal, when non-nil, receives every completed loop verdict as it is
 	// reached (core.EncodeLoopRecord schema), making the run resumable.
 	Journal JournalSink
@@ -145,10 +138,10 @@ type Options struct {
 }
 
 // Analyze runs DCA over every loop of every function, like core.Analyze,
-// but fanned out over the worker pool and prescreened for coverage. ctx
-// (nil means Background) scopes the whole analysis: once it is cancelled no
-// new loop or replay starts, in-flight interpreter runs are interrupted,
-// and every unfinished loop reports Verdict Cancelled.
+// but fanned out over the worker pool. ctx (nil means Background) scopes
+// the whole analysis: once it is cancelled no new loop or replay starts,
+// in-flight interpreter runs are interrupted, and every unfinished loop
+// reports Verdict Cancelled.
 func Analyze(ctx context.Context, prog *ir.Program, opt Options) (*core.Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -163,40 +156,23 @@ func Analyze(ctx context.Context, prog *ir.Program, opt Options) (*core.Report, 
 		pool = NewPool(workers)
 	}
 
-	// Reference execution, once, with block counting: its output is the
-	// behaviour every replay must preserve, and its block counts are the
-	// coverage prescreen. A trap here is fatal for the whole analysis —
-	// including the trap a cancelled ctx converts it into.
-	var refBuf strings.Builder
-	refStart := time.Now()
-	oc := sandbox.Run(ctx, prog, interp.Config{Out: &refBuf, CountBlocks: true, NoVM: copt.NoVM}, copt.Limits(), nil)
-	if !oc.OK() {
-		if copt.Trace != nil {
-			copt.Trace.Emit(obs.Event{Stage: obs.StageReference, Outcome: obs.OutcomeTrap,
-				Trap: oc.Trap.Kind.String(), Err: oc.Trap.Err.Error(),
-				DurationMS: float64(time.Since(refStart)) / float64(time.Millisecond)})
-		}
-		if ctx.Err() != nil {
-			return nil, fmt.Errorf("engine: analysis cancelled during reference execution: %w", context.Cause(ctx))
-		}
-		return nil, fmt.Errorf("engine: reference execution failed (%s): %w", oc.Trap.Kind, oc.Trap)
+	// Reference execution, once: its output is the behaviour every replay
+	// must preserve, and its per-loop evidence decides loops outright. A
+	// trap here is fatal for the whole analysis — including the trap a
+	// cancelled ctx converts it into.
+	ref, err := core.RunReference(ctx, prog, copt)
+	if err != nil {
+		return nil, err
 	}
-	if copt.Trace != nil {
-		copt.Trace.Emit(obs.Event{Stage: obs.StageReference, Outcome: obs.OutcomeOK,
-			DurationMS: float64(time.Since(refStart)) / float64(time.Millisecond)})
-	}
-	refOut := refBuf.String()
-	blockCt := oc.Result.BlockCount
 
 	pur := purity.Analyze(prog)
 	rep := &core.Report{Prog: prog}
 
 	// Enumerate loops up front, preallocating results in enumeration order.
 	type loopJob struct {
-		fn          *ir.Func
-		loop        *cfg.Loop
-		res         *core.LoopResult
-		prescreened bool
+		fn   *ir.Func
+		loop *cfg.Loop
+		res  *core.LoopResult
 	}
 	var jobs []loopJob
 	for _, fn := range prog.Funcs {
@@ -213,12 +189,7 @@ func Analyze(ctx context.Context, prog *ir.Program, opt Options) (*core.Report, 
 				Depth: loop.Depth,
 			}
 			rep.Loops = append(rep.Loops, res)
-			jobs = append(jobs, loopJob{
-				fn:          fn,
-				loop:        loop,
-				res:         res,
-				prescreened: !opt.NoPrescreen && blockCt[loop.Header] == 0,
-			})
+			jobs = append(jobs, loopJob{fn: fn, loop: loop, res: res})
 		}
 	}
 
@@ -274,7 +245,7 @@ func Analyze(ctx context.Context, prog *ir.Program, opt Options) (*core.Report, 
 					continue
 				}
 				held := pool.acquireCtx(ctx)
-				core.AnalyzeLoopInto(ctx, prog, j.fn, j.loop, pur, copt, refOut, j.res, j.prescreened, mkExec())
+				core.AnalyzeLoopInto(ctx, prog, j.fn, j.loop, pur, copt, ref, j.res, mkExec())
 				if held {
 					pool.release()
 				}

@@ -71,7 +71,7 @@ func assertIdentical(t *testing.T, label string, seq, par *core.Report) {
 	}
 	for i := range seq.Loops {
 		// Elapsed is wall-clock, and Replays counts work performed — the
-		// coverage prescreen and the verdict cache legitimately reduce it.
+		// verdict cache and journal legitimately reduce it.
 		// Neither is part of the verdict-identity contract; every other
 		// field must match exactly.
 		a, b := *seq.Loops[i], *par.Loops[i]
@@ -185,10 +185,11 @@ func main() {
 }
 `
 
-// TestPrescreenSoundness: the coverage prescreen may only claim loops whose
-// header never executes. A loop that is entered but whose payload never
-// runs (work(a, 0) alone would give zero iterations — here the loop also
-// runs with n=16, so it is fully tested) and a loop in a never-called
+// TestPrescreenSoundness: the zero-iteration decision (traced as a
+// prescreen skip) may only claim loops whose payload never runs in the
+// reference run. A loop that is entered but whose payload never runs in
+// one call (work(a, 0) alone would give zero iterations — here the loop
+// also runs with n=16, so it is fully tested) and a loop in a never-called
 // function must both land on the same verdicts as the sequential path.
 func TestPrescreenSoundness(t *testing.T) {
 	prog, err := irbuild.Compile("prescreen.mc", prescreenSrc)
@@ -207,9 +208,9 @@ func TestPrescreenSoundness(t *testing.T) {
 	assertIdentical(t, "prescreen", seq, par)
 
 	// The never-called function's loop is provable, but execution evidence
-	// outranks a symbolic proof: the prescreen (parallel path) and the
-	// golden run's zero-iteration exit (sequential path) both land on
-	// NotExecuted, never static-proved — identical to the -no-prove path.
+	// outranks a symbolic proof: the reference run's zero iterations decide
+	// NotExecuted before the prover runs, never static-proved — identical
+	// to the -no-prove path.
 	deadRes := par.Result("dead", 0)
 	if deadRes == nil || deadRes.Verdict != core.NotExecuted {
 		t.Fatalf("dead loop: %+v", deadRes)
@@ -236,12 +237,12 @@ func TestPrescreenSoundness(t *testing.T) {
 }
 
 // zeroTripSrc isolates the header-executes/payload-never case: the only
-// call runs the loop with a zero trip count, so the header executes (the
-// prescreen must NOT claim it) but the golden run observes zero iterations
-// and reaches NotExecuted through the dynamic stage. The loop's symbolic
-// bound makes it provable, and the proved path must reach the very same
-// verdict: the golden run stays as the coverage witness, so the proof is
-// discarded when the payload never runs.
+// call runs the loop with a zero trip count, so the loop is invoked once
+// but its payload never runs. The reference run decides NotExecuted, with
+// the invocation it counted, exactly as the golden run does under
+// NoFootprint. The loop's symbolic bound makes it provable, and the proved
+// path must reach the very same verdict: the proof is discarded when the
+// payload never runs.
 const zeroTripSrc = `
 func work(a []int, n int) {
 	for (var i int = 0; i < n; i++) {
@@ -255,7 +256,7 @@ func main() {
 }
 `
 
-func TestPrescreenZeroTripGoesThroughGoldenRun(t *testing.T) {
+func TestZeroTripLoopDecidedFromReference(t *testing.T) {
 	prog, err := irbuild.Compile("zerotrip.mc", zeroTripSrc)
 	if err != nil {
 		t.Fatal(err)
@@ -273,20 +274,30 @@ func TestPrescreenZeroTripGoesThroughGoldenRun(t *testing.T) {
 	if res.Verdict != core.NotExecuted {
 		t.Fatalf("verdict = %s (%s), want not-executed", res.Verdict, res.Reason)
 	}
-	// The loop was entered once: the golden run must have observed the
-	// invocation — proof the prescreen did not short-circuit it.
-	if res.Invocations == 0 {
-		t.Error("zero-trip loop must reach the golden run (prescreen must not claim an executed header)")
+	// The loop was entered once, and no instrumented run was needed to
+	// say so.
+	if res.Invocations != 1 || res.Replays != 0 {
+		t.Errorf("zero-trip loop: %d invocations, %d executions; want the reference run's 1 and none", res.Invocations, res.Replays)
 	}
+	// The golden-run oracle observes the same invocation.
+	opt.NoFootprint = true
+	oracle, err := engine.Analyze(context.Background(), prog, engine.Options{Core: opt, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o := oracle.Result("work", 0); o.Verdict != res.Verdict || o.Reason != res.Reason ||
+		o.Invocations != res.Invocations || o.Replays != 1 {
+		t.Errorf("golden-run oracle: %+v, want the same verdict and counts after one golden run", o)
+	}
+	opt.NoFootprint = false
 	seq, err := core.Analyze(prog, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertIdentical(t, "zerotrip", seq, par)
 
-	// Prover on: the proof closes, but the golden run observes zero
-	// iterations, so NotExecuted still wins on both engine paths — the
-	// verdict is byte-identical to the -no-prove run.
+	// Prover on: the zero iterations win before the prover runs, on both
+	// engine paths — the verdict is byte-identical to the -no-prove run.
 	opt.NoProve = false
 	seq, err = core.Analyze(prog, opt)
 	if err != nil {
@@ -304,24 +315,6 @@ func TestPrescreenZeroTripGoesThroughGoldenRun(t *testing.T) {
 	if res.Provenance == core.ProvenanceProved {
 		t.Errorf("zero-trip loop carries static-proved provenance: %+v", res)
 	}
-}
-
-// TestNoPrescreen: disabling the prescreen must not change reports either.
-func TestNoPrescreen(t *testing.T) {
-	prog, err := irbuild.Compile("prescreen.mc", prescreenSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := testOptions()
-	seq, err := core.Analyze(prog, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := engine.Analyze(context.Background(), prog, engine.Options{Core: opt, Workers: 4, NoPrescreen: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertIdentical(t, "no-prescreen", seq, par)
 }
 
 // TestSharedPool: several Analyze calls drawing from one pool must still

@@ -30,7 +30,7 @@
 //
 // Source positions, file names, comments, and formatting — the walk reads
 // the IR's structural serialization, which carries none of them — and every
-// knob that cannot reach a verdict (worker counts, prescreen mode, cache
+// knob that cannot reach a verdict (worker counts, executor choice, cache
 // configuration, output format).
 //
 // Version is hashed into every key, so a change to the walk itself
@@ -48,9 +48,12 @@ import (
 )
 
 // Version is the fingerprint schema version. Bump it whenever the token
-// walk changes (new tokens, reordered fields, different serialization), so
-// stale keys can never alias fresh ones.
-const Version = 3
+// walk changes (new tokens, reordered fields, different serialization) or
+// a knob's meaning changes under the same token, so stale keys can never
+// alias fresh ones. Version 4: NoFootprint also gates the decisions from
+// the reference run (coverage included), which changed the evidence behind
+// default-configuration verdicts.
+const Version = 4
 
 // Key is a 128-bit loop-analysis fingerprint.
 type Key struct{ Hi, Lo uint64 }
@@ -74,8 +77,9 @@ type Inputs struct {
 	// StopAfter is the sequential stopping rule (0 = off): it bounds which
 	// schedules are actually tested, so it can reach the verdict.
 	StopAfter int
-	// NoFootprint disables the footprint fast path, which otherwise decides
-	// whether replays run at all (and the verdict's provenance).
+	// NoFootprint turns off the decisions from the reference run, which
+	// otherwise decide whether the golden run and the replays run at all
+	// (and the verdict's provenance).
 	NoFootprint bool
 	// NoProve disables the static commutativity prover, which otherwise
 	// decides whether the dynamic stage runs at all (and the verdict's
@@ -345,7 +349,7 @@ func (r *Router) Route(fnName string, loopIndex int) Key {
 // the write-ahead run journal — two runs with equal keys analyze the same
 // loops under the same configuration, so journaled verdicts from one are
 // valid answers in the other. Knobs that cannot change a verdict (worker
-// count, prescreen mode, cache configuration) are deliberately absent, so
+// count, executor choice, cache configuration) are deliberately absent, so
 // a resume may change them freely.
 func Run(prog *ir.Program, in Inputs) Key {
 	h := newHasher()

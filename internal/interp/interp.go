@@ -117,11 +117,11 @@ type Config struct {
 	// error aborts execution with it. The sandbox fault injector uses it to
 	// trip deterministic traps at a chosen instruction count.
 	StepHook func(fr *Frame, in ir.Instr, steps int64) error
-	// Footprint, when non-nil, receives every heap access so the dynamic
-	// stage can prove iteration-disjoint read/write sets from a golden run.
-	// Much cheaper than a full Tracer: a concrete type with an early-out
-	// when no segment is open, supported by both executors.
-	Footprint *Footprint
+	// Loops, when non-nil, records per-loop invocation and iteration counts
+	// and iteration-disjoint heap footprints for every loop of the program
+	// at once (see LoopRecorder). Unlike a Tracer it keeps the run on the
+	// bytecode VM: both executors feed it directly.
+	Loops *LoopRecorder
 	// NoVM forces this execution onto the tree-walking interpreter even
 	// when the bytecode VM is enabled process-wide. It is a per-execution
 	// request (the server's `no_vm` knob), so concurrent analyses with
@@ -215,6 +215,9 @@ func (it *Interp) Call(fn *ir.Func, args []ir.Value, parent *Frame) (ir.Value, e
 	if it.cfg.Tracer != nil {
 		it.cfg.Tracer.OnRet(fr)
 	}
+	if it.cfg.Loops != nil {
+		it.cfg.Loops.Return(depth)
+	}
 	return ret, err
 }
 
@@ -245,9 +248,16 @@ func (it *Interp) exec(fr *Frame) (ir.Value, error) {
 			return ir.Value{}, &CancelError{Fn: fr.Fn.Name, Block: b.Name, Steps: it.steps, Cause: err}
 		}
 	}
+	var loops *FuncLoops
+	if it.cfg.Loops != nil {
+		loops = it.cfg.Loops.Func(fr.Fn)
+	}
 	for {
 		if it.cfg.Tracer != nil {
 			it.cfg.Tracer.OnBlock(fr, b)
+		}
+		if loops != nil {
+			loops.Enter(fr.Depth, loops.Position(b))
 		}
 		if it.blockCt != nil {
 			it.blockCt[b] += int64(len(b.Instrs)) + 1
@@ -339,8 +349,8 @@ func (it *Interp) step(fr *Frame, b *ir.Block, in ir.Instr) error {
 		if it.cfg.Tracer != nil {
 			it.cfg.Tracer.OnLoad(fr, i, obj, idx)
 		}
-		if it.cfg.Footprint != nil {
-			it.cfg.Footprint.OnLoad(obj, idx)
+		if it.cfg.Loops != nil {
+			it.cfg.Loops.OnLoad(obj, idx)
 		}
 		fr.Locals[i.Dst.Index] = obj.Elems[idx]
 	case *ir.Store:
@@ -358,8 +368,8 @@ func (it *Interp) step(fr *Frame, b *ir.Block, in ir.Instr) error {
 			it.cfg.Tracer.OnStore(fr, i, obj, idx)
 		}
 		v := it.operand(fr, i.Src)
-		if it.cfg.Footprint != nil && it.cfg.Footprint.Active() {
-			it.cfg.Footprint.OnStore(obj, idx, v.Equal(obj.Elems[idx]))
+		if it.cfg.Loops != nil && it.cfg.Loops.Active() {
+			it.cfg.Loops.OnStore(obj, idx, v.Equal(obj.Elems[idx]))
 		}
 		obj.Elems[idx] = v
 	case *ir.Alloc:

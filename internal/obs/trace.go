@@ -8,18 +8,21 @@ import (
 )
 
 // Trace stages, in lifecycle order. Every analyzed loop emits a subset of
-// these: a static-stage outcome, optionally a prescreen skip, optionally a
-// verdict-cache lookup, a golden run, zero or more schedule replays, and
-// always a final verdict. The whole-program reference execution emits one
-// program-level event (empty LoopID) per analysis.
+// these: a static-stage outcome, optionally a verdict-cache lookup,
+// optionally a zero-iteration skip (stage prescreen) or a prover attempt,
+// then a golden run and zero or more schedule replays unless the reference
+// run decided the loop, and always a final verdict. The whole-program
+// reference execution emits one program-level event (empty LoopID) per
+// analysis.
 const (
 	// StageReference: the uninstrumented whole-program reference execution.
 	StageReference = "reference"
 	// StageStatic: selection + separation + instrumentation outcome for one
 	// loop ("ok", or the short-circuit verdict name).
 	StageStatic = "static"
-	// StagePrescreen: the coverage prescreen skipped this loop's dynamic
-	// stage (outcome "skipped"). Loops that proceed emit no prescreen event.
+	// StagePrescreen: the reference run observed zero iterations of this
+	// loop, so its dynamic stage was skipped and it reports NotExecuted
+	// (outcome "skipped"). Other loops emit no prescreen event.
 	StagePrescreen = "prescreen"
 	// StageCache: verdict-cache lookup (outcome "hit" or "miss") or store
 	// (outcome "error" when the disk write failed).

@@ -496,10 +496,11 @@ type AnalyzeRequest struct {
 	// consecutive schedules agree with the golden run, the rest are
 	// skipped. 0 tests every schedule; negative is rejected with 400.
 	StopAfter int `json:"stop_after,omitempty"`
-	// NoFootprint disables the footprint fast path for this request.
+	// NoFootprint decides no loop from the reference run for this request:
+	// every analyzed loop runs its golden run (core.Options.NoFootprint).
 	NoFootprint bool `json:"no_footprint,omitempty"`
 	// NoProve disables the static commutativity prover for this request,
-	// so every loop's verdict comes from the dynamic stage.
+	// so no loop's verdict comes from a static proof.
 	NoProve bool `json:"no_prove,omitempty"`
 	// NoVM runs this request's executions on the tree-walking interpreter
 	// instead of the bytecode VM. Unlike the CLI's process-wide -no-vm

@@ -169,7 +169,9 @@ func main() {
 	for (var i int = 0; i < 64; i++) { s = s + a[i]; }
 	print(s);
 }`
-	resp, body := postAnalyze(t, hts.URL, AnalyzeRequest{Source: drainSrc})
+	// no_footprint: the drain trigger is the first golden run, which the
+	// reference run would otherwise make unnecessary for the first loop.
+	resp, body := postAnalyze(t, hts.URL, AnalyzeRequest{Source: drainSrc, NoFootprint: true})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("in-flight request finished %d during drain, want 200: %s", resp.StatusCode, body)
 	}

@@ -60,11 +60,11 @@ func Supported(cfg interp.Config) bool {
 // Machine executes one program. Not safe for concurrent use; distinct
 // machines may share the program's compiled code freely.
 type Machine struct {
-	code *progCode
-	out  io.Writer
-	rt   interp.Runtime
-	fp   *interp.Footprint
-	ctx  context.Context
+	code  *progCode
+	out   io.Writer
+	rt    interp.Runtime
+	loops *interp.LoopRecorder
+	ctx   context.Context
 
 	steps    int64
 	maxSteps int64
@@ -106,7 +106,7 @@ func New(prog *ir.Program, cfg interp.Config) *Machine {
 		code:     compiled(prog),
 		out:      cfg.Out,
 		rt:       cfg.Runtime,
-		fp:       cfg.Footprint,
+		loops:    cfg.Loops,
 		ctx:      cfg.Ctx,
 		maxSteps: max,
 		maxHeap:  cfg.MaxHeapObjects,
@@ -230,6 +230,9 @@ func (m *Machine) call(fc *fnCode, args []ir.Value, parent *interp.Frame) (ir.Va
 		regs[p.Index] = args[i]
 	}
 	ret, err := m.exec(fc, fr, regs)
+	if m.loops != nil {
+		m.loops.Return(depth)
+	}
 	m.frames.pop()
 	m.stack.pop()
 	return ret, err
@@ -308,7 +311,16 @@ func (m *Machine) exec(fc *fnCode, fr *interp.Frame, regs []ir.Value) (ir.Value,
 	}
 	ins := fc.ins
 	consts := fc.consts
+	// Block indices of fc.blocks are positions in Fn.Blocks, which is what
+	// the loop recorder counts by.
+	var loops *interp.FuncLoops
+	if m.loops != nil {
+		loops = m.loops.Func(fc.fn)
+	}
 	pc := m.enter(fc, 0)
+	if loops != nil {
+		loops.Enter(fr.Depth, 0)
+	}
 	for {
 		in := &ins[pc]
 		switch in.op {
@@ -424,8 +436,8 @@ func (m *Machine) exec(fc *fnCode, fr *interp.Frame, regs []ir.Value) (ir.Value,
 			if idx < 0 || idx >= len(obj.Elems) {
 				return ir.Value{}, wrap(fc, fc.in1Of(pc), fmt.Errorf("index %d out of range [0,%d)", idx, len(obj.Elems)))
 			}
-			if m.fp != nil {
-				m.fp.OnLoad(obj, idx)
+			if m.loops != nil {
+				m.loops.OnLoad(obj, idx)
 			}
 			regs[in.a] = obj.Elems[idx]
 			pc++
@@ -447,8 +459,8 @@ func (m *Machine) exec(fc *fnCode, fr *interp.Frame, regs []ir.Value) (ir.Value,
 				return ir.Value{}, wrap(fc, fc.in1Of(pc), fmt.Errorf("index %d out of range [0,%d)", idx, len(obj.Elems)))
 			}
 			v := get(regs, consts, in.c)
-			if m.fp != nil && m.fp.Active() {
-				m.fp.OnStore(obj, idx, v.Equal(obj.Elems[idx]))
+			if m.loops != nil && m.loops.Active() {
+				m.loops.OnStore(obj, idx, v.Equal(obj.Elems[idx]))
 			}
 			obj.Elems[idx] = v
 			pc++
@@ -621,6 +633,9 @@ func (m *Machine) exec(fc *fnCode, fr *interp.Frame, regs []ir.Value) (ir.Value,
 				}
 			}
 			pc = m.enter(fc, in.d)
+			if loops != nil {
+				loops.Enter(fr.Depth, int(in.d))
+			}
 
 		case opIf:
 			m.steps++
@@ -629,10 +644,13 @@ func (m *Machine) exec(fc *fnCode, fr *interp.Frame, regs []ir.Value) (ir.Value,
 					return ir.Value{}, err
 				}
 			}
+			bi := in.c
 			if get(regs, consts, in.b).Bool() {
-				pc = m.enter(fc, in.d)
-			} else {
-				pc = m.enter(fc, in.c)
+				bi = in.d
+			}
+			pc = m.enter(fc, bi)
+			if loops != nil {
+				loops.Enter(fr.Depth, int(bi))
 			}
 
 		case opRet:
@@ -664,8 +682,8 @@ func (m *Machine) exec(fc *fnCode, fr *interp.Frame, regs []ir.Value) (ir.Value,
 			if idx < 0 || idx >= len(obj.Elems) {
 				return ir.Value{}, wrap(fc, fc.in1Of(pc), fmt.Errorf("index %d out of range [0,%d)", idx, len(obj.Elems)))
 			}
-			if m.fp != nil {
-				m.fp.OnLoad(obj, idx)
+			if m.loops != nil {
+				m.loops.OnLoad(obj, idx)
 			}
 			v := obj.Elems[idx]
 			regs[in.a] = v
@@ -757,10 +775,13 @@ func (m *Machine) exec(fc *fnCode, fr *interp.Frame, regs []ir.Value) (ir.Value,
 				}
 			}
 			ext := fc.ext[in.d : in.d+2]
+			bi := ext[1]
 			if v.Bool() {
-				pc = m.enter(fc, ext[0])
-			} else {
-				pc = m.enter(fc, ext[1])
+				bi = ext[0]
+			}
+			pc = m.enter(fc, bi)
+			if loops != nil {
+				loops.Enter(fr.Depth, int(bi))
 			}
 
 		case opErr:

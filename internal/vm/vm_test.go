@@ -3,11 +3,13 @@ package vm_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"dca/internal/cfg"
 	"dca/internal/interp"
 	"dca/internal/ir"
 	"dca/internal/irbuild"
@@ -177,31 +179,77 @@ func TestCancelParity(t *testing.T) {
 	}
 }
 
-// TestFootprintParity: both executors must report the same load/store
-// footprint — same disjointness verdict — for the same segment markup.
+// TestFootprintParity: both executors must feed the reference run's loop
+// recorder identically — per loop the same invocations, iterations at
+// every block, disjointness and re-entry — on a program with nested loops,
+// a callee loop run from inside another loop, a recursive function that
+// re-enters its own loop, a return from inside a loop, a silent store and a
+// zero-trip loop. The recorder's verdicts on those shapes are pinned too.
 func TestFootprintParity(t *testing.T) {
-	// Writes a[i] per "segment", reads only its own cell: disjoint.
-	src := `func main() {
-		var a []int = new [8]int;
-		for (var i int = 0; i < 8; i++) { a[i] = a[i] + i; }
-		print(a[7]);
-	}`
-	prog := compile(t, src)
-	run := func(exec func(cfg interp.Config) error) *interp.Footprint {
-		fp := interp.NewFootprint()
-		fp.BeginSegment()
+	src, err := os.ReadFile(filepath.Join("..", "interp", "testdata", "loops", "loopshapes.mc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := compile(t, string(src))
+	main := prog.Func("main")
+	run := func(exec func(c interp.Config) error) *interp.LoopRecorder {
+		rec := interp.NewLoopRecorder(prog)
 		var out strings.Builder
-		if err := exec(interp.Config{Out: &out, Footprint: fp}); err != nil {
+		if err := exec(interp.Config{Out: &out, Loops: rec}); err != nil {
 			t.Fatal(err)
 		}
-		fp.EndInvocation()
-		return fp
+		return rec
 	}
-	main := prog.Func("main")
-	fv := run(func(cfg interp.Config) error { _, err := vm.New(prog, cfg).Call(main, nil, nil); return err })
-	fi := run(func(cfg interp.Config) error { _, err := interp.New(prog, cfg).Call(main, nil, nil); return err })
-	if fv.Disjoint() != fi.Disjoint() {
-		t.Errorf("footprint divergence: vm disjoint=%v interp disjoint=%v", fv.Disjoint(), fi.Disjoint())
+	rv := run(func(c interp.Config) error { _, err := vm.New(prog, c).Call(main, nil, nil); return err })
+	ri := run(func(c interp.Config) error { _, err := interp.New(prog, c).Call(main, nil, nil); return err })
+
+	// loops finds each loop by its function and header line.
+	type loopAt struct {
+		fn     *ir.Func
+		index  int
+		header int
+	}
+	loops := map[string]loopAt{}
+	for _, fn := range prog.Funcs {
+		_, ls := cfg.LoopsOf(fn)
+		for _, l := range ls {
+			for b := range fn.Blocks {
+				r1, _ := rv.Loop(fn, l.Index, b)
+				r2, _ := ri.Loop(fn, l.Index, b)
+				if r1 != r2 {
+					t.Errorf("%s block %d: vm %+v, interp %+v", l.ID(), b, r1, r2)
+				}
+			}
+			loops[fmt.Sprintf("%s:%d", fn.Name, l.Header.Pos.Line)] = loopAt{fn, l.Index, rv.Func(fn).Position(l.Header)}
+		}
+	}
+	want := []struct {
+		at          string
+		invocations int64
+		headers     int64 // header entries: invocations plus back edges
+		reentered   bool
+		disjoint    bool
+	}{
+		{"main:36", 1, 5, false, true},   // outer of a nest: each iteration writes its own row
+		{"main:37", 4, 20, false, true},  // inner of the nest
+		{"main:41", 1, 4, false, false},  // calls fill, which rewrites a[0..7] every iteration
+		{"fill:7", 3, 27, false, true},   // callee loop run from inside main:41
+		{"main:44", 1, 9, false, true},   // a[0] = a[0] is a silent store: a read
+		{"main:49", 1, 1, false, true},   // zero-trip
+		{"find:13", 1, 6, false, true},   // left through a return
+		{"walk:24", 15, 45, true, false}, // re-entered by recursion
+	}
+	for _, w := range want {
+		l, ok := loops[w.at]
+		if !ok {
+			t.Fatalf("no loop at %s", w.at)
+		}
+		got, _ := rv.Loop(l.fn, l.index, l.header)
+		if got.Invocations != w.invocations || got.Iterations != w.headers || got.Reentered != w.reentered ||
+			(!w.reentered && got.Disjoint != w.disjoint) {
+			t.Errorf("%s: got %+v, want invocations=%d header entries=%d reentered=%v disjoint=%v",
+				w.at, got, w.invocations, w.headers, w.reentered, w.disjoint)
+		}
 	}
 }
 
