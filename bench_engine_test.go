@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"runtime"
@@ -13,124 +12,6 @@ import (
 	"dca/internal/core"
 	"dca/internal/vm"
 )
-
-// benchFile is the machine-readable benchmark record. Both suite benchmarks
-// write into it, so updates go through mergeBenchFile rather than a blind
-// overwrite.
-const benchFile = "BENCH_analysis.json"
-
-// AnalysisBench is the parallel-engine benchmark record, merged into
-// BENCH_analysis.json by BenchmarkSuiteAnalysis.
-type AnalysisBench struct {
-	GOMAXPROCS        int     `json:"gomaxprocs"`
-	NumCPU            int     `json:"num_cpu"`
-	WorkersSequential int     `json:"workers_sequential"`
-	WorkersParallel   int     `json:"workers_parallel"`
-	SuiteSecondsSeq   float64 `json:"suite_seconds_sequential"`
-	SuiteSecondsPar   float64 `json:"suite_seconds_parallel"`
-	// Speedup is omitted when the parallel leg cannot actually run in
-	// parallel (single-CPU host): a ratio of two sequential runs is noise,
-	// not a speedup.
-	Speedup           float64 `json:"speedup,omitempty"`
-	AllocBytesSeq     uint64  `json:"alloc_bytes_sequential"`
-	AllocBytesPar     uint64  `json:"alloc_bytes_parallel"`
-	VerdictsIdentical bool    `json:"verdicts_identical"`
-}
-
-// CacheBench is the cold-vs-warm verdict-cache benchmark record, merged
-// into BENCH_analysis.json under "cache" by BenchmarkSuiteCache.
-type CacheBench struct {
-	Workers          int     `json:"workers"`
-	SuiteSecondsCold float64 `json:"suite_seconds_cold"`
-	SuiteSecondsWarm float64 `json:"suite_seconds_warm"`
-	ReplaysCold      int     `json:"replays_cold"`
-	ReplaysWarm      int     `json:"replays_warm"`
-	// ReplaySkipRate is the share of dynamic-stage executions the warm run
-	// avoided: 1 - warm/cold.
-	ReplaySkipRate  float64 `json:"replay_skip_rate"`
-	CachedLoopsWarm int     `json:"cached_loops_warm"`
-	TablesIdentical bool    `json:"tables_identical"`
-	MemHits         uint64  `json:"cache_mem_hits"`
-	Misses          uint64  `json:"cache_misses"`
-}
-
-// VMBench is the executor benchmark record, merged into BENCH_analysis.json
-// under "vm" by BenchmarkSuiteVM: the cold suite on the bytecode VM versus
-// the tree-walking interpreter, plus where the VM run's time went and how
-// many replays the reducers skipped.
-type VMBench struct {
-	Workers          int     `json:"workers"`
-	SuiteSecondsVM   float64 `json:"suite_seconds_vm"`
-	SuiteSecondsNoVM float64 `json:"suite_seconds_no_vm"`
-	SpeedupVsInterp  float64 `json:"speedup_vs_interp"`
-	// Stage split of the VM run's DCA time (seconds).
-	SecondsStatic float64 `json:"seconds_static"`
-	SecondsGolden float64 `json:"seconds_golden"`
-	SecondsReplay float64 `json:"seconds_replay"`
-	// Replays skipped by the sequential stopping rule and the footprint
-	// fast path during the VM run.
-	SkippedStop      int  `json:"skipped_stop"`
-	SkippedFootprint int  `json:"skipped_footprint"`
-	ReplaysVM        int  `json:"replays_vm"`
-	ReplaysNoVM      int  `json:"replays_no_vm"`
-	TablesIdentical  bool `json:"tables_identical"`
-}
-
-// ProveBench is the static-prover benchmark record, merged into
-// BENCH_analysis.json under "prove" by BenchmarkSuiteProve: the cold NPB
-// suite with the prover on versus forced through the dynamic stage, the
-// share of loops the prover decided, and the executions its proofs skipped.
-type ProveBench struct {
-	Workers             int     `json:"workers"`
-	SuiteSecondsProve   float64 `json:"suite_seconds_prove"`
-	SuiteSecondsNoProve float64 `json:"suite_seconds_no_prove"`
-	// ProvedLoops / TotalLoops: how many suite loops the prover decided.
-	ProvedLoops      int     `json:"proved_loops"`
-	TotalLoops       int     `json:"total_loops"`
-	StaticProvedRate float64 `json:"static_proved_rate"`
-	// Replay delta: dynamic-stage executions with and without the prover;
-	// SkippedProveRuns is the schedule-replay count the proofs made
-	// unnecessary as accounted per proved loop (golden runs still execute
-	// as each proved loop's coverage witness).
-	ReplaysProve     int  `json:"replays_prove"`
-	ReplaysNoProve   int  `json:"replays_no_prove"`
-	SkippedProveRuns int  `json:"skipped_prove_runs"`
-	TablesIdentical  bool `json:"tables_identical"`
-}
-
-// mergeBenchFile read-modify-writes update's top-level keys into the
-// benchmark record, preserving keys written by the other benchmark. Keys in
-// remove are deleted — omitempty fields would otherwise leave a stale value
-// from an earlier run in place.
-func mergeBenchFile(b *testing.B, update any, remove ...string) {
-	b.Helper()
-	merged := map[string]json.RawMessage{}
-	if data, err := os.ReadFile(benchFile); err == nil {
-		// A corrupt or legacy record is simply replaced.
-		json.Unmarshal(data, &merged)
-	}
-	data, err := json.Marshal(update)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var upd map[string]json.RawMessage
-	if err := json.Unmarshal(data, &upd); err != nil {
-		b.Fatal(err)
-	}
-	for k, v := range upd {
-		merged[k] = v
-	}
-	for _, k := range remove {
-		delete(merged, k)
-	}
-	out, err := json.MarshalIndent(merged, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile(benchFile, append(out, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
-}
 
 // withAllCPUs raises GOMAXPROCS to the machine's CPU count for the duration
 // of fn, restoring it afterwards. CI benchmark runners sometimes launch the
@@ -164,10 +45,10 @@ func timedSuite(b *testing.B, workers int, vc core.VerdictCache) (*bench.Suite, 
 // BenchmarkSuiteAnalysis measures the analysis engine's suite-level
 // speedup: the full NPB run at -j 1 versus -j NumCPU, the parallel leg run
 // with GOMAXPROCS raised to the hardware CPU count. It asserts the two
-// produce byte-identical Tables I/III/IV and merges the measurement into
-// BENCH_analysis.json (run via `go test -run=^$ -bench=SuiteAnalysis
-// -benchtime=1x .`). The ≥3x speedup floor is asserted only on hosts with
-// at least 4 CPUs; a single-CPU host records no speedup at all.
+// produce byte-identical Tables I/III/IV (run via `go test -run=^$
+// -bench=SuiteAnalysis -benchtime=1x .`). The ≥3x speedup floor is
+// asserted only on hosts with at least 4 CPUs; a single-CPU host reports
+// no speedup at all.
 func BenchmarkSuiteAnalysis(b *testing.B) {
 	cpus := runtime.NumCPU()
 	for i := 0; i < b.N; i++ {
@@ -186,31 +67,21 @@ func BenchmarkSuiteAnalysis(b *testing.B) {
 			b.Fatalf("parallel suite diverged from sequential:\nseq TableI:\n%s\npar TableI:\n%s",
 				seq.TableI(), par.TableI())
 		}
-		rec := AnalysisBench{
-			GOMAXPROCS:        runtime.GOMAXPROCS(0),
-			NumCPU:            cpus,
-			WorkersSequential: 1,
-			WorkersParallel:   cpus,
-			SuiteSecondsSeq:   seqDur.Seconds(),
-			SuiteSecondsPar:   parDur.Seconds(),
-			AllocBytesSeq:     seqAlloc,
-			AllocBytesPar:     parAlloc,
-			VerdictsIdentical: identical,
-		}
-		var stale []string
+		// A ratio of two sequential runs is noise, not a speedup, so a
+		// single-CPU host reports none.
+		var speedup float64
 		if cpus > 1 {
-			rec.Speedup = seqDur.Seconds() / parDur.Seconds()
-		} else {
-			stale = append(stale, "speedup")
+			speedup = seqDur.Seconds() / parDur.Seconds()
 		}
-		mergeBenchFile(b, rec, stale...)
-		fmt.Fprintf(os.Stderr, "suite: seq %.2fs, par(-j %d) %.2fs, speedup %.2fx\n",
-			rec.SuiteSecondsSeq, cpus, rec.SuiteSecondsPar, rec.Speedup)
-		if cpus >= 4 && rec.Speedup < 3 {
-			b.Fatalf("suite speedup %.2fx below the 3x floor at -j %d", rec.Speedup, cpus)
+		fmt.Fprintf(os.Stderr, "suite: seq %.2fs (%d MB alloc), par(-j %d) %.2fs (%d MB alloc), speedup %.2fx\n",
+			seqDur.Seconds(), seqAlloc>>20, cpus, parDur.Seconds(), parAlloc>>20, speedup)
+		if cpus >= 4 && speedup < 3 {
+			b.Fatalf("suite speedup %.2fx below the 3x floor at -j %d", speedup, cpus)
 		}
-		if rec.Speedup > 0 {
-			b.ReportMetric(rec.Speedup, "speedup")
+		b.ReportMetric(seqDur.Seconds(), "seq-s")
+		b.ReportMetric(parDur.Seconds(), "par-s")
+		if speedup > 0 {
+			b.ReportMetric(speedup, "speedup")
 		}
 	}
 }
@@ -219,8 +90,8 @@ func BenchmarkSuiteAnalysis(b *testing.B) {
 // no verdict cache) on the bytecode VM versus the same suite forced onto the
 // tree-walking interpreter with vm.SetEnabled(false). The two must produce
 // byte-identical Tables I/III/IV; the timing, the VM run's stage split, and
-// the replay-reducer skip counters are merged into BENCH_analysis.json under
-// "vm" (run via `go test -run=^$ -bench=SuiteVM -benchtime=1x .`).
+// the replay-reducer skip counters are reported (run via `go test -run=^$
+// -bench=SuiteVM -benchtime=1x .`).
 func BenchmarkSuiteVM(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		vmSuite, vmDur, _ := timedSuite(b, 1, nil)
@@ -237,26 +108,11 @@ func BenchmarkSuiteVM(b *testing.B) {
 		}
 		stop, fp := vmSuite.SkippedReplays()
 		static, golden, replay := vmSuite.StageSeconds()
-		rec := struct {
-			VM VMBench `json:"vm"`
-		}{VMBench{
-			Workers:          1,
-			SuiteSecondsVM:   vmDur.Seconds(),
-			SuiteSecondsNoVM: noDur.Seconds(),
-			SpeedupVsInterp:  noDur.Seconds() / vmDur.Seconds(),
-			SecondsStatic:    static,
-			SecondsGolden:    golden,
-			SecondsReplay:    replay,
-			SkippedStop:      stop,
-			SkippedFootprint: fp,
-			ReplaysVM:        vmSuite.Replays(),
-			ReplaysNoVM:      noSuite.Replays(),
-			TablesIdentical:  identical,
-		}}
-		mergeBenchFile(b, rec)
-		fmt.Fprintf(os.Stderr, "vm: %.2fs vs interp %.2fs (%.2fx); stages static %.2fs golden %.2fs replay %.2fs; skipped stop %d footprint %d\n",
-			vmDur.Seconds(), noDur.Seconds(), rec.VM.SpeedupVsInterp, static, golden, replay, stop, fp)
-		b.ReportMetric(rec.VM.SpeedupVsInterp, "speedup-vs-interp")
+		speedup := noDur.Seconds() / vmDur.Seconds()
+		fmt.Fprintf(os.Stderr, "vm: %.2fs vs interp %.2fs (%.2fx); stages static %.2fs golden %.2fs replay %.2fs; skipped stop %d footprint %d; replays %d vs %d\n",
+			vmDur.Seconds(), noDur.Seconds(), speedup, static, golden, replay, stop, fp,
+			vmSuite.Replays(), noSuite.Replays())
+		b.ReportMetric(speedup, "speedup-vs-interp")
 	}
 }
 
@@ -265,9 +121,8 @@ func BenchmarkSuiteVM(b *testing.B) {
 // forced through the dynamic stage with -no-prove. The two must produce
 // byte-identical Tables I/III/IV — a static proof may only remove work,
 // never change a verdict — and the prover must decide a nonzero share of
-// the suite's loops. The rate and the replay delta are merged into
-// BENCH_analysis.json under "prove" (run via `go test -run=^$
-// -bench=SuiteProve -benchtime=1x .`).
+// the suite's loops. The rate and the replay delta are reported (run via
+// `go test -run=^$ -bench=SuiteProve -benchtime=1x .`).
 func BenchmarkSuiteProve(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		pvSuite, pvDur, _ := timedSuite(b, 1, nil)
@@ -293,25 +148,11 @@ func BenchmarkSuiteProve(b *testing.B) {
 		for _, r := range pvSuite.Results {
 			total += len(r.DCA.Loops)
 		}
-		rec := struct {
-			Prove ProveBench `json:"prove"`
-		}{ProveBench{
-			Workers:             1,
-			SuiteSecondsProve:   pvDur.Seconds(),
-			SuiteSecondsNoProve: npDur.Seconds(),
-			ProvedLoops:         proved,
-			TotalLoops:          total,
-			StaticProvedRate:    float64(proved) / float64(total),
-			ReplaysProve:        pvSuite.Replays(),
-			ReplaysNoProve:      npSuite.Replays(),
-			SkippedProveRuns:    pvSuite.SkippedProveRuns(),
-			TablesIdentical:     identical,
-		}}
-		mergeBenchFile(b, rec)
+		rate := float64(proved) / float64(total)
 		fmt.Fprintf(os.Stderr, "prove: %.2fs vs no-prove %.2fs; proved %d/%d loops (%.0f%%), replays %d -> %d (skipped %d runs)\n",
-			pvDur.Seconds(), npDur.Seconds(), proved, total, 100*rec.Prove.StaticProvedRate,
-			npSuite.Replays(), pvSuite.Replays(), rec.Prove.SkippedProveRuns)
-		b.ReportMetric(rec.Prove.StaticProvedRate, "static-proved-rate")
+			pvDur.Seconds(), npDur.Seconds(), proved, total, 100*rate,
+			npSuite.Replays(), pvSuite.Replays(), pvSuite.SkippedProveRuns())
+		b.ReportMetric(rate, "static-proved-rate")
 	}
 }
 
@@ -319,7 +160,7 @@ func BenchmarkSuiteProve(b *testing.B) {
 // suite cold (empty verdict cache) versus warm (every verdict cached). The
 // warm run must reproduce the tables byte-for-byte while skipping at least
 // 90% of the dynamic-stage replays; the skip rate and cache counters are
-// merged into BENCH_analysis.json under "cache".
+// reported.
 func BenchmarkSuiteCache(b *testing.B) {
 	cpus := runtime.NumCPU()
 	for i := 0; i < b.N; i++ {
@@ -350,23 +191,9 @@ func BenchmarkSuiteCache(b *testing.B) {
 				skip*100, cold.Replays(), warm.Replays())
 		}
 		st := c.Stats()
-		rec := struct {
-			Cache CacheBench `json:"cache"`
-		}{CacheBench{
-			Workers:          cpus,
-			SuiteSecondsCold: coldDur.Seconds(),
-			SuiteSecondsWarm: warmDur.Seconds(),
-			ReplaysCold:      cold.Replays(),
-			ReplaysWarm:      warm.Replays(),
-			ReplaySkipRate:   skip,
-			CachedLoopsWarm:  warm.CachedLoops(),
-			TablesIdentical:  identical,
-			MemHits:          st.MemHits,
-			Misses:           st.Misses,
-		}}
-		mergeBenchFile(b, rec)
-		fmt.Fprintf(os.Stderr, "cache: cold %.2fs, warm %.2fs, replay skip %.1f%% (%d -> %d)\n",
-			coldDur.Seconds(), warmDur.Seconds(), skip*100, cold.Replays(), warm.Replays())
+		fmt.Fprintf(os.Stderr, "cache: cold %.2fs, warm %.2fs at -j %d, replay skip %.1f%% (%d -> %d), %d loops cached, %d mem hits, %d misses\n",
+			coldDur.Seconds(), warmDur.Seconds(), cpus, skip*100, cold.Replays(), warm.Replays(),
+			warm.CachedLoops(), st.MemHits, st.Misses)
 		b.ReportMetric(skip, "skip-rate")
 	}
 }

@@ -22,7 +22,6 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"strings"
 	"syscall"
 	"time"
 
@@ -111,8 +110,6 @@ func main() {
 		err = cmdFuzz(args)
 	case "serve":
 		err = cmdServe(args)
-	case "fleet-bench":
-		err = cmdFleetBench(args)
 	case "skeletons":
 		err = cmdSkeletons(args)
 	case "contexts":
@@ -146,14 +143,8 @@ commands:
         [-queue-timeout d] [-cache-dir d] [-cache-mem bytes] [-no-cache]
         [-schedules n] [-timeout d] [-max-steps n] [-retry n]
         [-max-source-bytes n] [-drain-timeout d] [-run-dir d]
-        [-fleet url1,url2,...] [-peers url1,url2,... -self url]
         [-trace out.jsonl]                       run the analysis service
-                                                 (metrics at GET /metrics;
-                                                 -fleet = coordinator mode,
-                                                 -peers = peer verdict cache)
-  fleet-bench [-nodes n] [-j n] [-bench-out f.json]
-                                                 benchmark an in-process fleet
-                                                 against a single node
+                                                 (metrics at GET /metrics)
   run [-opt] [-timeout d] [-max-steps n] [-no-vm] file.mc
                                                  execute the program
   ir [-opt] file.mc                              print the IR
@@ -183,7 +174,7 @@ func cmdAnalyze(args []string) error {
 	fs := flag.NewFlagSet("analyze", flag.ExitOnError)
 	baselines := fs.Bool("baselines", false, "also run the five baseline detectors")
 	jsonOut := fs.Bool("json", false, "emit the verdict report as JSON")
-	cacheDir := fs.String("cache-dir", "", "persistent verdict-cache directory (empty = memory-only)")
+	cacheDir := fs.String("cache-dir", "", "persistent verdict-cache directory (empty = no cache)")
 	cacheMem := fs.Int64("cache-mem", 0, "verdict-cache memory budget in bytes (0 = default)")
 	noCache := fs.Bool("no-cache", false, "disable the verdict cache")
 	jobs := fs.Int("j", runtime.GOMAXPROCS(0), "concurrent analysis workers (1 = sequential)")
@@ -460,13 +451,6 @@ func cmdServe(args []string) error {
 	queueTimeout := fs.Duration("queue-timeout", 0, "max wait for an analysis slot before shedding (0 = 10s)")
 	drain := fs.Duration("drain-timeout", 15*time.Second, "in-flight drain window on shutdown")
 	tracePath := fs.String("trace", "", "append per-loop trace events to this JSONL file")
-	fleetNodes := fs.String("fleet", "", "comma-separated worker base URLs; coordinator mode: /analyze shards loops across them")
-	dispatchTimeout := fs.Duration("dispatch-timeout", 5*time.Minute, "fleet: wall-clock cap per batch dispatch attempt (0 = request context only)")
-	hedgeAfter := fs.Duration("hedge-after", 0, "fleet: re-issue a straggling batch to the ring successor after this delay (0 = no hedging)")
-	probeInterval := fs.Duration("probe-interval", time.Second, "fleet: health-prober cadence for re-admitting dead workers")
-	nodeRetries := fs.Int("node-retries", 1, "fleet: same-node retries of a transient dispatch failure (negative disables)")
-	peers := fs.String("peers", "", "comma-separated fleet member base URLs (identical on every member); enables the peer verdict-cache protocol")
-	self := fs.String("self", "", "this node's own base URL within -peers")
 	runDir := fs.String("run-dir", "", "directory for async-run write-ahead journals (empty = no journals)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -485,17 +469,7 @@ func cmdServe(args []string) error {
 		Retries:        *retry,
 		Schedules:      *schedules,
 		DrainTimeout:   *drain,
-		Fleet:          splitNodes(*fleetNodes),
-		PeerNodes:      splitNodes(*peers),
-		PeerSelf:       *self,
 		RunDir:         *runDir,
-	}
-	cfg.DispatchTimeout = *dispatchTimeout
-	cfg.HedgeAfter = *hedgeAfter
-	cfg.ProbeInterval = *probeInterval
-	cfg.NodeRetries = *nodeRetries
-	if len(cfg.PeerNodes) > 0 && cfg.PeerSelf == "" {
-		return fmt.Errorf("serve: -peers requires -self (this node's own URL in the list)")
 	}
 	if *tracePath != "" {
 		f, err := os.OpenFile(*tracePath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
@@ -516,33 +490,12 @@ func cmdServe(args []string) error {
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	role := "standalone"
-	switch {
-	case len(cfg.Fleet) > 0:
-		role = fmt.Sprintf("coordinator over %d workers", len(cfg.Fleet))
-	case len(cfg.PeerNodes) > 0:
-		role = fmt.Sprintf("fleet worker (%d peers)", len(cfg.PeerNodes))
-	}
-	fmt.Fprintf(os.Stderr, "dca serve: listening on %s (%d workers, %s)\n", *addr, *jobs, role)
+	fmt.Fprintf(os.Stderr, "dca serve: listening on %s (%d workers)\n", *addr, *jobs)
 	if err := server.New(cfg).ListenAndServe(ctx, *addr); err != nil {
 		return fmt.Errorf("serve: %w", err)
 	}
 	fmt.Fprintln(os.Stderr, "dca serve: drained, bye")
 	return nil
-}
-
-// splitNodes parses a comma-separated node list, dropping empty entries
-// and trailing slashes so "http://a:1," and "http://a:1/" both name the
-// same ring member.
-func splitNodes(s string) []string {
-	var nodes []string
-	for _, n := range strings.Split(s, ",") {
-		n = strings.TrimRight(strings.TrimSpace(n), "/")
-		if n != "" {
-			nodes = append(nodes, n)
-		}
-	}
-	return nodes
 }
 
 func cmdRun(args []string) error {

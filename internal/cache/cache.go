@@ -329,13 +329,6 @@ var magic = [4]byte{'D', 'C', 'A', 'V'}
 
 const headerSize = 4 + 4 + 4 + 8 + 8
 
-// ValidKey reports whether key is a well-formed cache key: a lowercase-hex
-// fingerprint string of at least three digits. The peer-cache protocol's
-// HTTP handlers (`GET/PUT /cache/{key}`) validate inbound keys with it
-// before touching either tier, so a request path can never escape the
-// shard layout or name a special file.
-func ValidKey(key string) bool { return validKey(key) }
-
 // validKey restricts disk keys to lowercase-hex fingerprint strings, so a
 // key can never escape the shard layout or name a special file.
 func validKey(key string) bool {

@@ -123,12 +123,6 @@ type Options struct {
 	// reports the recovered outcome with ProvenanceJournaled; a record that
 	// fails to decode falls through to a fresh analysis.
 	Resume map[LoopKey][]byte
-	// Only, when non-nil, restricts the analysis to the listed loops: loops
-	// outside the set are neither analyzed nor reported. This is the fleet's
-	// shard filter — a worker handed one batch of a program's loops runs the
-	// reference execution once and analyzes just its share. nil means every
-	// loop, exactly as before.
-	Only map[LoopKey]bool
 	// OnLoop, when non-nil, is called once per loop as its analysis
 	// completes (including cached, journaled, and cancelled outcomes), from
 	// the worker goroutine that finished it — completion order, not report
@@ -178,9 +172,6 @@ func Analyze(ctx context.Context, prog *ir.Program, opt Options) (*core.Report, 
 	for _, fn := range prog.Funcs {
 		_, loops := cfg.LoopsOf(fn)
 		for _, loop := range loops {
-			if opt.Only != nil && !opt.Only[LoopKey{Fn: fn.Name, Index: loop.Index}] {
-				continue
-			}
 			res := &core.LoopResult{
 				Fn:    fn.Name,
 				Index: loop.Index,

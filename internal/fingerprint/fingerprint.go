@@ -113,10 +113,6 @@ const (
 	// not renumber the loop-key tags (which would have invalidated every
 	// stored loop key without a Version bump).
 	tagRun
-	// tagRoute keys the fleet's dispatch routing (Router): a cheap
-	// program+target fingerprint with no static-stage or schedule sections.
-	// Like tagRun it sits past tagEnd so it cannot alias the loop-key walk.
-	tagRoute
 )
 
 const (
@@ -304,42 +300,6 @@ func Loop(prog *ir.Program, fnName string, loopIndex int, inst *instrument.Instr
 	} else {
 		h.word(0)
 	}
-	h.word(tagEnd)
-	return Key{Hi: h.hi, Lo: h.lo}
-}
-
-// Router issues per-loop routing keys for the analysis fleet: stable
-// identifiers the coordinator hashes onto its consistent-hash ring to pick
-// each loop's worker. A routing key covers the whole program and the target
-// loop — everything that identifies "this loop of this program" — but none
-// of the static-stage outputs or dynamic-stage knobs a cache key needs,
-// because the coordinator routes before any static stage has run. The
-// program walk is hashed once at construction; Route then costs two words
-// per loop, so routing a thousand-loop program is O(program + loops), not
-// O(program × loops).
-//
-// Routing keys and cache keys live in different namespaces (tagRoute vs the
-// loop-key walk) and are never stored: equal routing keys only ever mean
-// "same ring owner".
-type Router struct{ base hasher }
-
-// NewRouter hashes prog's structural walk once, ready to issue Route keys.
-func NewRouter(prog *ir.Program) *Router {
-	h := newHasher()
-	h.word(tagVersion)
-	h.word(Version)
-	h.word(tagRoute)
-	h.program(prog)
-	return &Router{base: h}
-}
-
-// Route returns the routing key for one loop of the program. The base
-// hasher is copied by value, so a Router is safe for concurrent use.
-func (r *Router) Route(fnName string, loopIndex int) Key {
-	h := r.base
-	h.word(tagTarget)
-	h.str(fnName)
-	h.word(uint64(loopIndex))
 	h.word(tagEnd)
 	return Key{Hi: h.hi, Lo: h.lo}
 }

@@ -192,3 +192,21 @@ func TestPositionInsensitive(t *testing.T) {
 		t.Fatalf("position-only change invalidated the key: %s vs %s", a, b)
 	}
 }
+
+// TestPinnedKeys pins the literal Loop and Run keys of one fixed program.
+// A change to the hash walk or the tag numbering changes every key and
+// orphans every on-disk cache entry and run journal, so it must come with a
+// Version bump; only then are these literals recomputed.
+func TestPinnedKeys(t *testing.T) {
+	const pinnedVersion = 4
+	if fingerprint.Version != pinnedVersion {
+		t.Fatalf("Version is %d but the keys below were computed at %d; recompute them",
+			fingerprint.Version, pinnedVersion)
+	}
+	if got, want := keyOf(t, baseSrc, 0, defaultInputs()).String(), "c94f13af2d661d7395fdf81fd90deb8c"; got != want {
+		t.Errorf("Loop key = %s, want %s: the walk changed without a Version bump", got, want)
+	}
+	if got, want := fingerprint.Run(compile(t, baseSrc), defaultInputs()).String(), "a217ef4590d0630299b0ce47a0df2193"; got != want {
+		t.Errorf("Run key = %s, want %s: the walk changed without a Version bump", got, want)
+	}
+}

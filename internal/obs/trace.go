@@ -31,19 +31,6 @@ const (
 	// loop's verdict was replayed from the journal (skipping both stages),
 	// "error" when appending a fresh verdict failed.
 	StageJournal = "journal"
-	// StagePeer: peer verdict-cache activity in the analysis fleet —
-	// outcome "hit" when a ring-owner served a verdict this node did not
-	// have, "miss" when the owner had nothing either, "error" when the peer
-	// was unreachable or returned garbage (both degrade to a local miss).
-	StagePeer = "peer"
-	// StageFleet: coordinator dispatch activity — outcome "ok" for a batch
-	// served by its ring owner, "error" for a failed batch whose loops were
-	// re-dispatched to the ring successor, "retry" for a same-node retry of
-	// a transient failure, "hedged" when a straggling batch was re-issued to
-	// the successor, "rejoin" when the health prober re-admitted a node, and
-	// "fallback" when the coordinator analyzed loops in-process because no
-	// live worker remained.
-	StageFleet = "fleet"
 	// StageProve: the static commutativity prover's attempt for one loop —
 	// outcome "proved" (Reason names the closing argument) when the loop's
 	// dynamic stage was skipped, "miss" (Reason lists the per-argument
@@ -66,11 +53,6 @@ const (
 	OutcomeSkipped = "skipped"
 	OutcomeError   = "error"
 	OutcomeProved  = "proved"
-	// Fleet dispatch outcomes (StageFleet).
-	OutcomeRetry    = "retry"
-	OutcomeHedged   = "hedged"
-	OutcomeRejoin   = "rejoin"
-	OutcomeFallback = "fallback"
 )
 
 // Event is one structured record in a loop's analysis lifecycle. Fields

@@ -14,7 +14,6 @@ import (
 
 	"dca/internal/cache"
 	"dca/internal/core"
-	"dca/internal/fleet"
 )
 
 // postAsync submits an async analysis and decodes the 202 run handle.
@@ -46,7 +45,7 @@ func postAsync(t *testing.T, url string, req AnalyzeRequest) runHandle {
 
 // readEvents consumes a run's NDJSON stream: per-loop verdicts followed by
 // the terminal status line.
-func readEvents(t *testing.T, url string) ([]core.LoopJSON, fleet.Status) {
+func readEvents(t *testing.T, url string) ([]core.LoopJSON, Status) {
 	t.Helper()
 	resp, err := http.Get(url)
 	if err != nil {
@@ -60,7 +59,7 @@ func readEvents(t *testing.T, url string) ([]core.LoopJSON, fleet.Status) {
 		t.Fatalf("events content type = %q, want application/x-ndjson", ct)
 	}
 	var loops []core.LoopJSON
-	var final fleet.Status
+	var final Status
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -133,7 +132,7 @@ func TestAsyncRunStreamsEveryVerdictOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var st fleet.Status
+	var st Status
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +189,7 @@ func TestAsyncDisconnectDoesNotCancelRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var st fleet.Status
+		var st Status
 		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 			t.Fatal(err)
 		}
@@ -238,31 +237,6 @@ func TestAnalyzeKnobValidation(t *testing.T) {
 	}
 }
 
-// TestAnalyzeLoopShardFilter: the loops field restricts analysis to the
-// named shard — the field the coordinator uses to split programs.
-func TestAnalyzeLoopShardFilter(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 2})
-	_, body := postAnalyze(t, ts.URL, AnalyzeRequest{Filename: "t.mc", Source: testSrc})
-	full := decodeReport(t, body)
-	if len(full.Loops) < 2 {
-		t.Fatalf("need >= 2 loops to shard, got %d", len(full.Loops))
-	}
-	want := full.Loops[1]
-
-	_, body = postAnalyze(t, ts.URL, AnalyzeRequest{
-		Filename: "t.mc", Source: testSrc,
-		Loops: []fleet.LoopRef{{Fn: want.Fn, Index: want.Index}},
-	})
-	shard := decodeReport(t, body)
-	if len(shard.Loops) != 1 {
-		t.Fatalf("shard report has %d loops, want 1", len(shard.Loops))
-	}
-	if got := shard.Loops[0]; got.Fn != want.Fn || got.Index != want.Index || got.Verdict != want.Verdict {
-		t.Fatalf("shard loop = %s#%d %s, want %s#%d %s",
-			got.Fn, got.Index, got.Verdict, want.Fn, want.Index, want.Verdict)
-	}
-}
-
 // TestRunEndpointsUnknownID: both run endpoints 404 on unknown handles.
 func TestRunEndpointsUnknownID(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2})
@@ -290,28 +264,5 @@ func TestAsyncRunJournaled(t *testing.T) {
 	journalPath := fmt.Sprintf("%s/%s.journal", dir, h.RunID)
 	if _, err := os.Stat(journalPath); err != nil {
 		t.Fatalf("async run left no journal: %v", err)
-	}
-}
-
-// TestAsyncCoordinatorRunJournaled: a coordinator with RunDir journals the
-// merged per-loop rows too — one framed record per streamed verdict.
-func TestAsyncCoordinatorRunJournaled(t *testing.T) {
-	_, w1 := newTestServer(t, Config{Workers: 2})
-	_, w2 := newTestServer(t, Config{Workers: 2})
-	dir := t.TempDir()
-	_, co := newTestServer(t, Config{Workers: 2, RunDir: dir, Fleet: []string{w1.URL, w2.URL}})
-
-	h := postAsync(t, co.URL, AnalyzeRequest{Filename: "t.mc", Source: testSrc})
-	loops, final := readEvents(t, co.URL+h.EventsURL)
-	if final.State != "done" {
-		t.Fatalf("run state = %s, want done", final.State)
-	}
-	data, err := os.ReadFile(fmt.Sprintf("%s/%s.journal", dir, h.RunID))
-	if err != nil {
-		t.Fatalf("coordinator run left no journal: %v", err)
-	}
-	// One header line plus one record per streamed verdict.
-	if records := bytes.Count(data, []byte("\n")) - 1; records != len(loops) {
-		t.Fatalf("journal has %d records, want %d (one per loop)", records, len(loops))
 	}
 }

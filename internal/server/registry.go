@@ -1,20 +1,42 @@
-package fleet
+package server
 
 import (
 	"context"
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 
+	"dca/internal/cfg"
 	"dca/internal/core"
+	"dca/internal/ir"
 )
 
-// LoopRef names one loop of the analyzed program — the unit the
-// coordinator routes and the registry orders. JSON tags match the server's
-// wire schema.
+// LoopRef names one loop of the analyzed program — the unit the registry
+// orders.
 type LoopRef struct {
-	Fn    string `json:"fn"`
-	Index int    `json:"index"`
+	Fn    string
+	Index int
+}
+
+// EnumerateLoops lists a program's loops in report order — sorted by
+// function name, then loop index, exactly like core.Analyze's output. The
+// registry seeds its source-ordered stream from this list.
+func EnumerateLoops(prog *ir.Program) []LoopRef {
+	var refs []LoopRef
+	for _, fn := range prog.Funcs {
+		_, loops := cfg.LoopsOf(fn)
+		for _, loop := range loops {
+			refs = append(refs, LoopRef{Fn: fn.Name, Index: loop.Index})
+		}
+	}
+	sort.Slice(refs, func(i, j int) bool {
+		if refs[i].Fn != refs[j].Fn {
+			return refs[i].Fn < refs[j].Fn
+		}
+		return refs[i].Index < refs[j].Index
+	})
+	return refs
 }
 
 // maxRetainedRuns bounds how many finished runs the registry keeps for
@@ -24,9 +46,9 @@ const maxRetainedRuns = 256
 
 // Registry tracks asynchronous analysis runs: each run is created with its
 // full source-ordered loop list up front, collects per-loop verdicts in
-// whatever order workers finish them, and releases them to subscribers in
-// source order — so every event stream, no matter when it attaches or how
-// the analysis was sharded, sees the same sequence.
+// whatever order the engine's workers finish them, and releases them to
+// subscribers in source order — so every event stream, no matter when it
+// attaches, sees the same sequence.
 type Registry struct {
 	mu    sync.Mutex
 	runs  map[string]*Run
@@ -120,9 +142,6 @@ type Run struct {
 // ID returns the run handle.
 func (r *Run) ID() string { return r.id }
 
-// Started returns the run's creation time.
-func (r *Run) Started() time.Time { return r.started }
-
 // wakeLocked signals every parked subscriber and re-arms the channel.
 func (r *Run) wakeLocked() {
 	close(r.wake)
@@ -130,9 +149,9 @@ func (r *Run) wakeLocked() {
 }
 
 // Complete records one loop's verdict. Out-of-order completions buffer
-// until their source-order predecessors arrive; duplicates (an at-least-
-// once re-dispatch finishing twice) keep the first result and drop the
-// rest, so subscribers see every loop exactly once.
+// until their source-order predecessors arrive; a duplicate completion
+// keeps the first result and drops the rest, so subscribers see every loop
+// exactly once.
 func (r *Run) Complete(lj core.LoopJSON) {
 	ref := LoopRef{Fn: lj.Fn, Index: lj.Index}
 	r.mu.Lock()

@@ -1,4 +1,4 @@
-package fleet
+package server
 
 import (
 	"context"
@@ -63,9 +63,8 @@ func TestRunSourceOrderRelease(t *testing.T) {
 	}
 }
 
-// TestRunDuplicateCompletions: at-least-once re-dispatch means the same
-// loop can complete twice; the first verdict wins and the stream carries
-// it exactly once.
+// TestRunDuplicateCompletions: if the same loop completes twice, the first
+// verdict wins and the stream carries it exactly once.
 func TestRunDuplicateCompletions(t *testing.T) {
 	g := NewRegistry()
 	r := g.NewRun("deadbeefcafe", testRefs(3))

@@ -36,29 +36,17 @@
 // text format, and GET /stats re-expresses the same instruments as JSON —
 // the three views can never disagree about what happened.
 //
-// The server is also the fleet's building block (internal/fleet). The same
-// process can serve three roles, chosen by configuration:
-//
-//   - Worker: Config.PeerNodes wraps the verdict cache in the fleet's peer
-//     protocol — misses consult the key's ring owner over GET /cache/{key},
-//     fresh verdicts write through — and the /cache/{key} handlers serve
-//     this node's local tier to its peers.
-//   - Coordinator: Config.Fleet routes /analyze through a
-//     fleet.Coordinator, which shards the program's loops across the worker
-//     nodes by fingerprint and merges their verdicts into one report that
-//     is identical (timing aside) to a single node's.
-//   - Batch front end: POST /analyze?async=1 registers a run, answers 202
-//     with a handle, and finishes the analysis in the background on a
-//     context the client's disconnect cannot cancel. GET /runs/{id} is the
-//     status; GET /runs/{id}/events streams per-loop verdicts in source
-//     order as NDJSON (or SSE under Accept: text/event-stream). With
-//     Config.RunDir set, every async run also appends to a write-ahead
-//     journal (internal/journal), the same machinery `dca analyze -journal`
-//     uses.
+// Every request is analyzed in this process. POST /analyze?async=1 is the
+// batch front end: it registers a run, answers 202 with a handle, and
+// finishes the analysis in the background on a context the client's
+// disconnect cannot cancel. GET /runs/{id} is the status; GET
+// /runs/{id}/events streams per-loop verdicts in source order as NDJSON (or
+// SSE under Accept: text/event-stream). With Config.RunDir set, every async
+// run also appends to a write-ahead journal (internal/journal), the same
+// machinery `dca analyze -journal` uses.
 //
 // Endpoints: POST /analyze (sync or ?async=1), GET /runs/{id},
-// GET /runs/{id}/events, GET /cache/{key}, PUT /cache/{key}, GET /healthz,
-// GET /stats, GET /metrics.
+// GET /runs/{id}/events, GET /healthz, GET /stats, GET /metrics.
 package server
 
 import (
@@ -66,7 +54,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"math"
 	"math/rand"
@@ -84,7 +71,6 @@ import (
 	"dca/internal/dcart"
 	"dca/internal/engine"
 	"dca/internal/fingerprint"
-	"dca/internal/fleet"
 	"dca/internal/ir"
 	"dca/internal/irbuild"
 	"dca/internal/journal"
@@ -151,37 +137,6 @@ type Config struct {
 	// event the analyses emit (e.g. an obs.JSONL sink). The server always
 	// folds events into its /metrics registry regardless.
 	Trace obs.Sink
-	// Fleet, when non-empty, puts the server in coordinator mode: /analyze
-	// shards the program's loops across these worker base URLs by
-	// fingerprint and merges their verdicts instead of analyzing locally.
-	Fleet []string
-	// FleetClient overrides the coordinator's dispatch HTTP client — tests
-	// and the chaos bench inject a fault-injecting transport here. nil
-	// means a plain client (per-attempt clocks come from DispatchTimeout).
-	FleetClient *http.Client
-	// DispatchTimeout caps one fleet batch dispatch attempt; a hung worker
-	// becomes a retryable failure instead of a stalled run (<= 0 means no
-	// cap beyond the request context).
-	DispatchTimeout time.Duration
-	// NodeRetries is how many times a transient dispatch failure retries
-	// the same worker before the node leaves rotation (0 means 1; negative
-	// disables retries).
-	NodeRetries int
-	// HedgeAfter re-issues a still-unfinished batch to the ring successor
-	// after this straggler delay, first result wins (<= 0 disables).
-	HedgeAfter time.Duration
-	// ProbeInterval is the health prober's cadence for re-admitting dead
-	// workers (<= 0 means 1s).
-	ProbeInterval time.Duration
-	// PeerNodes, when non-empty (and Cache is set), wraps the verdict
-	// cache in the fleet's peer protocol: misses consult the key's ring
-	// owner among these base URLs, fresh verdicts write through. The list
-	// must be identical on every fleet member (it defines the ring) and
-	// include this node itself.
-	PeerNodes []string
-	// PeerSelf is this node's own base URL within PeerNodes, so keys it
-	// owns itself never leave the process.
-	PeerSelf string
 	// RunDir, when non-empty, backs every async run (/analyze?async=1)
 	// with a write-ahead journal in this directory, one file per run.
 	RunDir string
@@ -243,17 +198,11 @@ type Server struct {
 	inFlight     *obs.Gauge
 	admitted     atomic.Int64 // requests inside /analyze (waiting + in flight)
 
-	// Fleet wiring. localCache is the node's own cache, before any peer
-	// wrapping — the /cache/{key} handlers serve it directly so a peer
-	// lookup can never recurse back onto the ring. coord is non-nil in
-	// coordinator mode. runs registers async analyses; bg tracks their
-	// background goroutines so a drain can wait for them.
-	localCache core.VerdictCache
-	coord      *fleet.Coordinator
-	fleetM     *fleet.Metrics
-	runs       *fleet.Registry
-	bg         sync.WaitGroup
-	jitter     func(max int64) int64
+	// runs registers async analyses; bg tracks their background goroutines
+	// so a drain can wait for them.
+	runs   *Registry
+	bg     sync.WaitGroup
+	jitter func(max int64) int64
 
 	logEncodeOnce sync.Once
 }
@@ -262,15 +211,14 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:        cfg,
-		pool:       engine.NewPool(cfg.Workers),
-		sem:        make(chan struct{}, cfg.MaxConcurrent),
-		mux:        http.NewServeMux(),
-		start:      time.Now(),
-		reg:        obs.NewRegistry(),
-		localCache: cfg.Cache,
-		runs:       fleet.NewRegistry(),
-		jitter:     cfg.RetryJitter,
+		cfg:    cfg,
+		pool:   engine.NewPool(cfg.Workers),
+		sem:    make(chan struct{}, cfg.MaxConcurrent),
+		mux:    http.NewServeMux(),
+		start:  time.Now(),
+		reg:    obs.NewRegistry(),
+		runs:   NewRegistry(),
+		jitter: cfg.RetryJitter,
 	}
 	if s.jitter == nil {
 		s.jitter = rand.Int63n
@@ -279,58 +227,6 @@ func New(cfg Config) *Server {
 	s.sink = obs.Sink(s.metrics)
 	if cfg.Trace != nil {
 		s.sink = obs.Multi{s.metrics, cfg.Trace}
-	}
-	// Fleet roles. The metrics are registered once, on whichever ring this
-	// node builds first (cache ring as a worker, dispatch ring in
-	// coordinator mode); both rings hash identically, so the gauge is
-	// equally honest. The peer wrap runs before the coordinator so the
-	// coordinator's local fallback analyzes through the final cache — the
-	// same tier stack a worker request would have used.
-	if len(cfg.PeerNodes) > 0 && cfg.Cache != nil {
-		ring := fleet.NewRing(cfg.PeerNodes)
-		s.fleetM = fleet.NewMetrics(s.reg, ring)
-		s.cfg.Cache = fleet.NewPeerCache(fleet.PeerConfig{
-			Local:   cfg.Cache,
-			Ring:    ring,
-			Self:    cfg.PeerSelf,
-			Metrics: s.fleetM,
-			Trace:   s.sink,
-		})
-	}
-	if len(cfg.Fleet) > 0 {
-		s.coord = fleet.NewCoordinator(fleet.CoordinatorConfig{
-			Nodes:  cfg.Fleet,
-			Client: cfg.FleetClient,
-			Trace:  s.sink,
-			Policy: fleet.Policy{
-				DispatchTimeout: cfg.DispatchTimeout,
-				NodeRetries:     cfg.NodeRetries,
-				HedgeAfter:      cfg.HedgeAfter,
-				ProbeInterval:   cfg.ProbeInterval,
-				Jitter:          cfg.RetryJitter,
-			},
-			// Graceful degradation: with every worker out of rotation the
-			// coordinator analyzes in-process under the same ceilings a
-			// worker would have applied, so the merged report stays
-			// byte-identical to a healthy fleet's.
-			Local: fleet.NewLocalAnalyzer(fleet.LocalConfig{
-				Pool:           s.pool,
-				Workers:        s.cfg.Workers,
-				Schedules:      s.cfg.Schedules,
-				MaxSteps:       s.cfg.MaxSteps,
-				Timeout:        s.cfg.Timeout,
-				MaxHeapObjects: s.cfg.MaxHeapObjects,
-				MaxOutput:      s.cfg.MaxOutput,
-				Retries:        s.cfg.Retries,
-				Cache:          s.cfg.Cache,
-				Trace:          s.sink,
-			}),
-		})
-		if s.fleetM == nil {
-			s.fleetM = fleet.NewMetrics(s.reg, s.coord.Ring())
-		}
-		s.coord.SetMetrics(s.fleetM)
-		fleet.RegisterMembership(s.reg, s.coord.Membership())
 	}
 	s.requests = s.reg.Counter("dca_requests_total",
 		"Analyze requests accepted for processing.")
@@ -408,8 +304,6 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("POST /analyze", s.handleAnalyze)
 	s.mux.HandleFunc("GET /runs/{id}", s.handleRunStatus)
 	s.mux.HandleFunc("GET /runs/{id}/events", s.handleRunEvents)
-	s.mux.HandleFunc("GET /cache/{key}", s.handleCacheGet)
-	s.mux.HandleFunc("PUT /cache/{key}", s.handleCachePut)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /stats", s.handleStats)
 	s.mux.Handle("GET /metrics", s.reg.Handler())
@@ -423,11 +317,6 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Registry exposes the server's metrics registry, so embedders can add
 // their own instruments next to the service's.
 func (s *Server) Registry() *obs.Registry { return s.reg }
-
-// FleetMetrics exposes the fleet instruments — nil outside fleet roles —
-// so embedders like `dca fleet-bench` can read peer-cache hit rates and
-// dispatch counts without scraping /metrics.
-func (s *Server) FleetMetrics() *fleet.Metrics { return s.fleetM }
 
 // ListenAndServe serves on addr until ctx is cancelled, then drains
 // gracefully. It returns nil after a clean drain.
@@ -447,11 +336,6 @@ func (s *Server) beginDrain() { s.draining.Store(true) }
 // down gracefully: /healthz flips to draining, the listener closes, and
 // in-flight requests get up to DrainTimeout to finish.
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
-	if s.coord != nil {
-		// Coordinator mode: the background prober re-admits recovered
-		// workers for the server's whole lifetime.
-		s.coord.StartProber(ctx)
-	}
 	srv := &http.Server{Handler: s.mux}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
@@ -507,10 +391,6 @@ type AnalyzeRequest struct {
 	// flag, this is per-request: concurrent requests with different
 	// settings never interfere.
 	NoVM bool `json:"no_vm,omitempty"`
-	// Loops, when non-empty, restricts the analysis to the listed loops —
-	// the fleet's shard filter. The reference execution still runs once;
-	// only the listed loops are analyzed and reported.
-	Loops []fleet.LoopRef `json:"loops,omitempty"`
 }
 
 // AnalyzeResponse is the /analyze response body.
@@ -605,30 +485,7 @@ func (s *Server) options(req *AnalyzeRequest) engine.Options {
 	if !req.NoCache {
 		copt.Cache = s.cfg.Cache
 	}
-	eopt := engine.Options{Core: copt, Pool: s.pool}
-	if len(req.Loops) > 0 {
-		only := make(map[engine.LoopKey]bool, len(req.Loops))
-		for _, ref := range req.Loops {
-			only[engine.LoopKey{Fn: ref.Fn, Index: ref.Index}] = true
-		}
-		eopt.Only = only
-	}
-	return eopt
-}
-
-// knobs re-expresses the request's analysis options for fleet dispatch, so
-// workers run under exactly this request's configuration.
-func (s *Server) knobs(req *AnalyzeRequest) fleet.Knobs {
-	return fleet.Knobs{
-		Schedules:   req.Schedules,
-		MaxSteps:    req.MaxSteps,
-		TimeoutMS:   req.TimeoutMS,
-		NoCache:     req.NoCache,
-		StopAfter:   req.StopAfter,
-		NoFootprint: req.NoFootprint,
-		NoProve:     req.NoProve,
-		NoVM:        req.NoVM,
-	}
+	return engine.Options{Core: copt, Pool: s.pool}
 }
 
 // shedRequest turns one request away with 503, a Retry-After hint, and the
@@ -636,11 +493,9 @@ func (s *Server) knobs(req *AnalyzeRequest) fleet.Knobs {
 // of retrying into the same overload.
 //
 // The hint is jittered across [base, 2*base): a fixed value synchronizes
-// every turned-away client onto the same retry instant — and in a fleet,
-// where one overloaded worker sheds a coordinator's whole batch and the
-// coordinator re-dispatches on the same clock, a fixed hint would march
-// thundering herds from node to node. The uniform spread decorrelates them;
-// tests inject a deterministic jitter source via Config.RetryJitter.
+// every turned-away client onto the same retry instant, and they return as
+// one thundering herd. The uniform spread decorrelates them; tests inject a
+// deterministic jitter source via Config.RetryJitter.
 func (s *Server) shedRequest(w http.ResponseWriter, reason, msg string) {
 	s.outcomes.Inc(outcomeRejected)
 	s.shed.Inc(reason)
@@ -676,9 +531,12 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.admitted.Add(-1)
 
+	// Unknown fields are rejected, not dropped: a misspelt knob silently
+	// ignored would analyze under a configuration the client never asked for.
 	var req AnalyzeRequest
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxSourceBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxSourceBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			s.outcomes.Inc(outcomeRejected)
@@ -686,7 +544,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 				errorResponse{fmt.Sprintf("request body exceeds %d bytes", s.cfg.MaxSourceBytes)})
 			return
 		}
-		s.writeJSON(w, http.StatusBadRequest, errorResponse{"invalid JSON: " + err.Error()})
+		s.writeJSON(w, http.StatusBadRequest, errorResponse{"invalid request: " + err.Error()})
 		return
 	}
 	if req.Source == "" {
@@ -743,7 +601,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	// The analysis is scoped to the request: a disconnected client cancels
 	// every interpreter run it still owns and frees the pool promptly.
 	start := time.Now()
-	rep, err := s.analyze(r.Context(), prog, filename, &req, nil)
+	rep, err := engine.Analyze(r.Context(), prog, s.options(&req))
 	if r.Context().Err() != nil {
 		// The client is gone; whatever the engine salvaged (Cancelled
 		// verdicts were never cached) has no reader. This is load shed,
@@ -753,14 +611,6 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err != nil {
-		var perr *fleet.ProgramError
-		if s.coord != nil && !errors.As(err, &perr) {
-			// The fleet failed the request, not the program: every worker
-			// the ring offered was dead or shedding.
-			s.outcomes.Inc(outcomeErrored)
-			s.writeJSON(w, http.StatusBadGateway, errorResponse{"fleet: " + err.Error()})
-			return
-		}
 		// The reference execution failed: the program is analyzable by
 		// nobody, which is the request's fault, not the server's.
 		s.outcomes.Inc(outcomeErrored)
@@ -769,28 +619,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	}
 	s.outcomes.Inc(outcomeAnalyzed)
 	s.loopsDone.Add(uint64(len(rep.Loops)))
-	rep.ElapsedSeconds = time.Since(start).Seconds()
-	s.writeJSON(w, http.StatusOK, AnalyzeResponse{Report: rep})
-}
-
-// analyze runs one request's analysis — locally through the engine, or
-// sharded across the fleet in coordinator mode — and returns the report in
-// wire form. onLoop, when non-nil, receives every loop verdict exactly
-// once as it completes (the async path feeds the run registry with it).
-func (s *Server) analyze(ctx context.Context, prog *ir.Program, filename string, req *AnalyzeRequest, onLoop func(core.LoopJSON)) (*core.ReportJSON, error) {
-	if s.coord != nil {
-		return s.coord.Analyze(ctx, prog, filename, req.Source, s.knobs(req), onLoop)
-	}
-	eopt := s.options(req)
-	if onLoop != nil {
-		eopt.OnLoop = func(res *core.LoopResult) { onLoop(res.JSON()) }
-	}
-	start := time.Now()
-	rep, err := engine.Analyze(ctx, prog, eopt)
-	if err != nil {
-		return nil, err
-	}
-	return rep.JSON(time.Since(start)), nil
+	s.writeJSON(w, http.StatusOK, AnalyzeResponse{Report: rep.JSON(time.Since(start))})
 }
 
 // runHandle is the 202 response to POST /analyze?async=1.
@@ -829,20 +658,7 @@ func (s *Server) runKey(prog *ir.Program, req *AnalyzeRequest) string {
 // touch. The caller's semaphore slot travels with the goroutine, so
 // MaxConcurrent bounds async and sync analyses together.
 func (s *Server) startAsync(w http.ResponseWriter, prog *ir.Program, req *AnalyzeRequest) {
-	refs := fleet.EnumerateLoops(prog)
-	if len(req.Loops) > 0 {
-		only := make(map[fleet.LoopRef]bool, len(req.Loops))
-		for _, ref := range req.Loops {
-			only[ref] = true
-		}
-		kept := refs[:0]
-		for _, ref := range refs {
-			if only[ref] {
-				kept = append(kept, ref)
-			}
-		}
-		refs = kept
-	}
+	refs := EnumerateLoops(prog)
 	run := s.runs.NewRun(s.runKey(prog, req), refs)
 	s.bg.Add(1)
 	go s.runAsync(run, prog, req)
@@ -856,20 +672,16 @@ func (s *Server) startAsync(w http.ResponseWriter, prog *ir.Program, req *Analyz
 
 // runAsync is the background half of an async run. It owns the semaphore
 // slot and in-flight accounting its handler left behind, feeds the run's
-// event stream as loops complete, and seals the run with the merged
-// report. With RunDir set, every completed loop is also journaled, so a
-// crashed server leaves a resumable record behind.
-func (s *Server) runAsync(run *fleet.Run, prog *ir.Program, req *AnalyzeRequest) {
+// event stream as loops complete, and seals the run with its report. With
+// RunDir set, every completed loop is also journaled, so a crashed server
+// leaves a resumable record behind.
+func (s *Server) runAsync(run *Run, prog *ir.Program, req *AnalyzeRequest) {
 	defer s.bg.Done()
 	defer func() { <-s.sem; s.inFlight.Dec() }()
 
-	filename := req.Filename
-	if filename == "" {
-		filename = "request.mc"
-	}
-	ctx := context.Background()
 	start := time.Now()
-	var j *journal.Journal
+	eopt := s.options(req)
+	eopt.OnLoop = func(res *core.LoopResult) { run.Complete(res.JSON()) }
 	if s.cfg.RunDir != "" {
 		path := filepath.Join(s.cfg.RunDir, run.ID()+".journal")
 		jj, _, jerr := journal.Open(path, s.runKey(prog, req), journal.Options{Version: core.CacheRecordVersion})
@@ -878,45 +690,19 @@ func (s *Server) runAsync(run *fleet.Run, prog *ir.Program, req *AnalyzeRequest)
 			// in the trace stream rather than silently swallowed.
 			s.sink.Emit(obs.Event{Stage: obs.StageJournal, Outcome: obs.OutcomeError, Err: jerr.Error()})
 		} else {
-			j = jj
-			defer j.Close()
+			defer jj.Close()
+			eopt.Journal = asyncJournal{jj}
 		}
 	}
-	var rep *core.ReportJSON
-	var err error
-	if s.coord != nil {
-		// The coordinator journals the merged rows it streams: worker
-		// verdicts land as framed LoopJSON records, so a crashed
-		// coordinator still leaves a per-loop account of the run.
-		onLoop := run.Complete
-		if j != nil {
-			onLoop = func(lj core.LoopJSON) {
-				if data, merr := json.Marshal(lj); merr == nil {
-					j.Append(lj.Fn, lj.Index, data)
-				}
-				run.Complete(lj)
-			}
-		}
-		rep, err = s.coord.Analyze(ctx, prog, filename, req.Source, s.knobs(req), onLoop)
-	} else {
-		eopt := s.options(req)
-		eopt.OnLoop = func(res *core.LoopResult) { run.Complete(res.JSON()) }
-		if j != nil {
-			eopt.Journal = asyncJournal{j}
-		}
-		var engineRep *core.Report
-		engineRep, err = engine.Analyze(ctx, prog, eopt)
-		if err == nil {
-			rep = engineRep.JSON(time.Since(start))
-		}
-	}
+	rep, err := engine.Analyze(context.Background(), prog, eopt)
 	if err != nil {
 		s.outcomes.Inc(outcomeErrored)
-	} else {
-		s.outcomes.Inc(outcomeAnalyzed)
-		s.loopsDone.Add(uint64(len(rep.Loops)))
+		run.Finish(nil, err)
+		return
 	}
-	run.Finish(rep, err)
+	s.outcomes.Inc(outcomeAnalyzed)
+	s.loopsDone.Add(uint64(len(rep.Loops)))
+	run.Finish(rep.JSON(time.Since(start)), nil)
 }
 
 func (s *Server) handleRunStatus(w http.ResponseWriter, r *http.Request) {
@@ -985,56 +771,6 @@ func (s *Server) handleRunEvents(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-}
-
-// handleCacheGet serves this node's local verdict-cache tier to its fleet
-// peers. Deliberately the local cache, never the peer-wrapped one: a peer
-// lookup answered by another peer lookup would chase the ring in circles.
-func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
-	if s.localCache == nil {
-		s.writeJSON(w, http.StatusNotFound, errorResponse{"no verdict cache configured"})
-		return
-	}
-	key := r.PathValue("key")
-	if !cache.ValidKey(key) {
-		s.writeJSON(w, http.StatusBadRequest, errorResponse{"malformed cache key"})
-		return
-	}
-	data, ok := s.localCache.Get(key)
-	if !ok {
-		s.writeJSON(w, http.StatusNotFound, errorResponse{"cache miss"})
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	w.Write(data)
-}
-
-// handleCachePut accepts a peer's write-through. The body is size-capped
-// and syntax-checked before it may enter the store; a corrupt record is
-// the writer's problem, never this node's.
-func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
-	if s.localCache == nil {
-		s.writeJSON(w, http.StatusNotFound, errorResponse{"no verdict cache configured"})
-		return
-	}
-	key := r.PathValue("key")
-	if !cache.ValidKey(key) {
-		s.writeJSON(w, http.StatusBadRequest, errorResponse{"malformed cache key"})
-		return
-	}
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, fleet.MaxPeerRecord))
-	if err != nil {
-		s.writeJSON(w, http.StatusRequestEntityTooLarge,
-			errorResponse{fmt.Sprintf("record exceeds %d bytes", fleet.MaxPeerRecord)})
-		return
-	}
-	if !json.Valid(data) {
-		s.writeJSON(w, http.StatusBadRequest, errorResponse{"record is not valid JSON"})
-		return
-	}
-	s.localCache.Put(key, data)
-	w.WriteHeader(http.StatusNoContent)
 }
 
 // healthz is the liveness payload.

@@ -196,15 +196,21 @@ func TestBadRequests(t *testing.T) {
 		name string
 		body string
 		want int
+		// field, when set, must be named in the error message.
+		field string
 	}{
-		{"invalid-json", "{nope", http.StatusBadRequest},
-		{"missing-source", `{"filename": "x.mc"}`, http.StatusBadRequest},
-		{"bad-program", `{"source": "func main("}`, http.StatusUnprocessableEntity},
-		{"oversized", fmt.Sprintf(`{"source": %q}`, strings.Repeat("x", 8192)), http.StatusRequestEntityTooLarge},
-		{"negative-timeout", `{"source": "func main() { print(0); }", "timeout_ms": -5}`, http.StatusBadRequest},
-		{"overflowing-timeout", `{"source": "func main() { print(0); }", "timeout_ms": 9300000000000000}`, http.StatusBadRequest},
-		{"negative-max-steps", `{"source": "func main() { print(0); }", "max_steps": -1}`, http.StatusBadRequest},
-		{"negative-schedules", `{"source": "func main() { print(0); }", "schedules": -1}`, http.StatusBadRequest},
+		{"invalid-json", "{nope", http.StatusBadRequest, ""},
+		{"missing-source", `{"filename": "x.mc"}`, http.StatusBadRequest, ""},
+		{"bad-program", `{"source": "func main("}`, http.StatusUnprocessableEntity, ""},
+		{"oversized", fmt.Sprintf(`{"source": %q}`, strings.Repeat("x", 8192)), http.StatusRequestEntityTooLarge, ""},
+		{"negative-timeout", `{"source": "func main() { print(0); }", "timeout_ms": -5}`, http.StatusBadRequest, ""},
+		{"overflowing-timeout", `{"source": "func main() { print(0); }", "timeout_ms": 9300000000000000}`, http.StatusBadRequest, ""},
+		{"negative-max-steps", `{"source": "func main() { print(0); }", "max_steps": -1}`, http.StatusBadRequest, ""},
+		{"negative-schedules", `{"source": "func main() { print(0); }", "schedules": -1}`, http.StatusBadRequest, ""},
+		// A misspelt knob and the retired shard filter are rejected by name,
+		// never dropped: analyzing anyway would ignore what the client asked.
+		{"misspelt-knob", `{"source": "func main() { print(0); }", "no_footprnt": true}`, http.StatusBadRequest, "no_footprnt"},
+		{"retired-loops-field", `{"source": "func main() { print(0); }", "loops": [{"fn": "main", "index": 0}]}`, http.StatusBadRequest, "loops"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -222,6 +228,9 @@ func TestBadRequests(t *testing.T) {
 			}
 			if er.Error == "" {
 				t.Error("empty error message")
+			}
+			if tc.field != "" && !strings.Contains(er.Error, `"`+tc.field+`"`) {
+				t.Errorf("error %q does not name the field %q", er.Error, tc.field)
 			}
 		})
 	}

@@ -37,9 +37,8 @@ func TestShedDraining(t *testing.T) {
 
 // TestShedRetryAfterJitter: shed responses spread their Retry-After hints
 // across [base, 2*base) instead of synchronizing every turned-away client
-// (and every fleet coordinator re-dispatch) onto one retry instant. The
-// default jitter source must actually vary; each observed value must stay
-// inside the window.
+// onto one retry instant. The default jitter source must actually vary;
+// each observed value must stay inside the window.
 func TestShedRetryAfterJitter(t *testing.T) {
 	const base = 20 // QueueTimeout in seconds; window is [20, 40)
 	s, ts := newTestServer(t, Config{Workers: 1, QueueTimeout: base * time.Second})
