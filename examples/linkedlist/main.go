@@ -55,7 +55,7 @@ func main() {
 	fmt.Printf("analyzing %s\n\n", loop.ID())
 
 	// --- Static stage: iterator/payload separation. ---
-	sep := iterrec.Separate(g, cfg.ComputePostDom(g), loop, pointer.Analyze(prog), dataflow.ComputeLiveness(g))
+	sep := iterrec.Separate(g, cfg.ComputePostDom(g), loop, pointer.Of(prog), dataflow.ComputeLiveness(g))
 	if !sep.OK {
 		log.Fatalf("not separable: %s", sep.Reason)
 	}

@@ -95,7 +95,20 @@ type Env struct {
 	defs    map[*ir.Local][]ir.Instr // function-wide single-def map helper
 }
 
-// NewEnv analyzes all loops of fn.
+// envKey keys one function's environment in ir.Program.Memo.
+type envKey struct{ fn *ir.Func }
+
+// EnvOf returns fn's environment, built once per function of prog and
+// shared through prog.Memo by every consumer (the static baselines, the
+// dependence profilers' classification and the prover). The environment
+// is read-only once built. fn must be a function of prog that is no longer
+// rewritten: the instrumenter, which rewrites a clone, builds its own
+// analyses.
+func EnvOf(prog *ir.Program, fn *ir.Func) *Env {
+	return prog.Memo(envKey{fn}, func() any { return NewEnv(fn) }).(*Env)
+}
+
+// NewEnv analyzes all loops of fn. Most callers want the memoized EnvOf.
 func NewEnv(fn *ir.Func) *Env {
 	senv := scalar.NewEnv(fn)
 	env := &Env{

@@ -1,6 +1,7 @@
 package affine_test
 
 import (
+	"sync"
 	"testing"
 
 	"dca/internal/affine"
@@ -228,5 +229,39 @@ func main() {
 	groups := affine.MemReductionGroups(prog.Func("main"))
 	if len(groups) != 2 {
 		t.Errorf("group instrs = %d, want 2 (the load and store of the += only)", len(groups))
+	}
+}
+
+// TestEnvOfShared: concurrent callers share one environment per function
+// of a program, and the environment analyzes the function it is keyed by.
+// Run under -race.
+func TestEnvOfShared(t *testing.T) {
+	prog, err := irbuild.Compile("t.mc", `
+func f(n int) int { var s int = 0; for (var i int = 0; i < n; i++) { s += i; } return s; }
+func main() { for (var j int = 0; j < 3; j++) { print(f(j)); } }`)
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	got := make([][]*affine.Env, 4)
+	var wg sync.WaitGroup
+	for w := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, fn := range prog.Funcs {
+				got[w] = append(got[w], affine.EnvOf(prog, fn))
+			}
+		}()
+	}
+	wg.Wait()
+	for w := range got {
+		for k, env := range got[w] {
+			if env != got[0][k] {
+				t.Fatalf("goroutine %d got its own environment for %s", w, prog.Funcs[k].Name)
+			}
+			if env.Fn != prog.Funcs[k] || len(env.Loops) != 1 {
+				t.Fatalf("environment for %s analyzes %s with %d loops", prog.Funcs[k].Name, env.Fn.Name, len(env.Loops))
+			}
+		}
 	}
 }

@@ -209,9 +209,11 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
 		c.moveToFront(e)
+		// insert rewrites e.val under c.mu, so it is read before unlocking.
+		val := e.val
 		c.mu.Unlock()
 		c.memHits.Add(1)
-		return e.val, true
+		return val, true
 	}
 	c.mu.Unlock()
 

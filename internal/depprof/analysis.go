@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"dca/internal/affine"
 	"dca/internal/cfg"
 	"dca/internal/ir"
 	"dca/internal/purity"
@@ -125,9 +126,8 @@ func AnalyzeProfile(prog *ir.Program, prof *Profile, pol Policy) *Report {
 	rep := &Report{Prog: prog, Profile: prof, Verdicts: map[LoopKey]*Verdict{}, Truncated: prof.Truncated}
 	pur := purity.Analyze(prog)
 	for _, fn := range prog.Funcs {
-		env := scalar.NewEnv(fn)
-		loops := env.G.FindLoops()
-		for _, loop := range loops {
+		env := affine.EnvOf(prog, fn)
+		for _, loop := range env.Loops {
 			key := LoopKey{fn.Name, loop.Index}
 			v := &Verdict{Key: key, Loop: loop}
 			rep.Verdicts[key] = v
@@ -147,7 +147,7 @@ func AnalyzeProfile(prog *ir.Program, prof *Profile, pol Policy) *Report {
 					continue
 				}
 			}
-			scalarReasons := classifyScalars(env, loop, pol)
+			scalarReasons := classifyScalars(env.Env, loop, pol)
 			v.Reasons = append(v.Reasons, scalarReasons...)
 			v.Reasons = append(v.Reasons, memoryReasons(lp, pol)...)
 			v.Parallel = len(v.Reasons) == 0

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"strings"
 
+	"dca/internal/affine"
 	"dca/internal/cfg"
 	"dca/internal/dataflow"
 	"dca/internal/depprof"
@@ -90,9 +91,9 @@ func Analyze(prog *ir.Program, maxSteps int64) (*Report, error) {
 func AnalyzeProfile(prog *ir.Program, prof *depprof.Profile) *Report {
 	loops := depprof.AnalyzeProfile(prog, prof, Policy())
 	rep := &Report{Prog: prog, Loops: loops}
-	pa := pointer.Analyze(prog)
+	pa := pointer.Of(prog)
 	for _, fn := range prog.Funcs {
-		rep.TaskSections = append(rep.TaskSections, taskSections(fn, pa, loops)...)
+		rep.TaskSections = append(rep.TaskSections, taskSections(affine.EnvOf(prog, fn), pa, loops)...)
 	}
 	return rep
 }
@@ -110,10 +111,10 @@ type unit struct {
 
 // taskSections finds adjacent top-level loops with disjoint footprints.
 // Both units must have been executed (DiscoPoP is profile-driven).
-func taskSections(fn *ir.Func, pa *pointer.Analysis, loops *depprof.Report) []TaskSection {
-	g, ls := cfg.LoopsOf(fn)
+func taskSections(env *affine.Env, pa *pointer.Analysis, loops *depprof.Report) []TaskSection {
+	fn, g := env.Fn, env.G
 	var units []*unit
-	for _, l := range ls {
+	for _, l := range env.Loops {
 		if l.Depth != 1 {
 			continue
 		}

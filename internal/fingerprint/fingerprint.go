@@ -232,17 +232,31 @@ func sortStrings(s []string) {
 	}
 }
 
+// prefixKey keys the memoized program walk in ir.Program.Memo.
+type prefixKey struct{}
+
+// programPrefix returns the hasher state every loop key of prog starts
+// from: the version word and the whole-program walk. The walk is the bulk
+// of a loop key's cost and the same for every loop, so it runs once per
+// program and each key extends a copy of the memoized state.
+func programPrefix(prog *ir.Program) hasher {
+	return prog.Memo(prefixKey{}, func() any {
+		h := newHasher()
+		h.word(tagVersion)
+		h.word(Version)
+		h.program(prog)
+		return h
+	}).(hasher)
+}
+
 // Loop fingerprints one loop analysis: the program under test, the target
 // loop, its static-stage outputs, and the dynamic-stage configuration.
 // Equal keys mean the dynamic stage would run byte-identically; any change
 // to an input that can reach the verdict yields a different key (up to hash
-// collisions, ~2^-128 for non-adversarial inputs).
+// collisions, ~2^-128 for non-adversarial inputs). The program walk is
+// memoized on prog, so prog must not be mutated between calls.
 func Loop(prog *ir.Program, fnName string, loopIndex int, inst *instrument.Instrumented, in Inputs) Key {
-	h := newHasher()
-	h.word(tagVersion)
-	h.word(Version)
-
-	h.program(prog)
+	h := programPrefix(prog)
 
 	h.word(tagTarget)
 	h.str(fnName)

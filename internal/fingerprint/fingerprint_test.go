@@ -1,6 +1,7 @@
 package fingerprint_test
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -180,6 +181,36 @@ func TestRunKey(t *testing.T) {
 			t.Fatalf("run key collides with loop %d key", loop)
 		}
 	}
+}
+
+// TestSharedProgramWalk: every loop key of one program, computed from
+// several goroutines that share its memoized program walk, equals the key
+// computed on a fresh compilation. Run under -race.
+func TestSharedProgramWalk(t *testing.T) {
+	prog := compile(t, baseSrc)
+	var insts []*instrument.Instrumented
+	var want []fingerprint.Key
+	for loop := 0; loop < 2; loop++ {
+		inst, err := instrument.Loop(prog, "main", loop)
+		if err != nil {
+			t.Fatalf("instrument: %v", err)
+		}
+		insts = append(insts, inst)
+		want = append(want, keyOf(t, baseSrc, loop, defaultInputs()))
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for loop, inst := range insts {
+				if got := fingerprint.Loop(prog, "main", loop, inst, defaultInputs()); got != want[loop] {
+					t.Errorf("loop %d: key %s, want %s", loop, got, want[loop])
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestPositionInsensitive: formatting-only source changes (moved lines,

@@ -59,10 +59,10 @@ func (r *Report) Verdict(fn string, index int) *Verdict {
 // Analyze statically classifies every loop of the program.
 func Analyze(prog *ir.Program) *Report {
 	rep := &Report{Prog: prog, Verdicts: map[LoopKey]*Verdict{}}
-	pa := pointer.Analyze(prog)
+	pa := pointer.Of(prog)
 	pur := purity.Analyze(prog)
 	for _, fn := range prog.Funcs {
-		env := affine.NewEnv(fn)
+		env := affine.EnvOf(prog, fn)
 		for _, loop := range env.Loops {
 			v := &Verdict{Key: LoopKey{Fn: fn.Name, Index: loop.Index}}
 			rep.Verdicts[v.Key] = v

@@ -73,9 +73,9 @@ func Loop(prog *ir.Program, fnName string, loopIndex int) (*Instrumented, error)
 	pd := cfg.ComputePostDom(g)
 	// The clone is structurally identical to prog at this point (fn is not
 	// rewritten yet), so the interprocedural points-to solve runs once per
-	// program and is rebound — keys remapped, results shared — per loop.
-	base := prog.AnalysisCache(func() any { return pointer.Analyze(prog) }).(*pointer.Analysis)
-	pa := base.Rebind(clone, fnName)
+	// program and is rebound per loop: an overlay remaps fn's keys and
+	// shares everything else with the program's solution.
+	pa := pointer.Of(prog).Rebind(clone, fnName)
 	if pa == nil {
 		pa = pointer.Analyze(clone)
 	}

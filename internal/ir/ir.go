@@ -8,6 +8,7 @@ package ir
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"dca/internal/source"
@@ -24,10 +25,10 @@ type Program struct {
 	// compiled form) so one compilation serves the golden run and every
 	// replay of the same program. See ExecCache.
 	execCache atomic.Value
-	// analysisCache memoizes a whole-program analysis artifact (the
-	// points-to analysis) under the same contract; separate from execCache
-	// so the two consumers cannot evict each other.
-	analysisCache atomic.Value
+	// memo holds the analysis artifacts derived from the IR (the points-to
+	// solution, per-function environments, the fingerprint's program walk),
+	// keyed by their producers. See Memo.
+	memo sync.Map
 }
 
 // ExecCache returns the memoized execution artifact for this program,
@@ -48,19 +49,20 @@ func (p *Program) ExecCache(build func() any) any {
 	return p.execCache.Load()
 }
 
-// AnalysisCache memoizes a whole-program analysis artifact, with the same
-// contract as ExecCache: built at most effectively once, derived purely
-// from the IR, safe for concurrent use, and never stale because Clone and
-// CloneShared start with an empty cache.
-func (p *Program) AnalysisCache(build func() any) any {
-	if v := p.analysisCache.Load(); v != nil {
+// Memo returns the analysis artifact stored under key, calling build to
+// create it on first use. Each producer keys its artifacts with values of
+// a type private to its package, so producers cannot collide. The contract
+// is ExecCache's: built at most effectively once (concurrent first callers
+// may both build; one result wins), derived purely from the IR, safe for
+// concurrent readers, and never stale because Clone and CloneShared start
+// with an empty memo. Callers must not mutate the program after the first
+// call; a function being rewritten lives in a clone.
+func (p *Program) Memo(key any, build func() any) any {
+	if v, ok := p.memo.Load(key); ok {
 		return v
 	}
-	v := build()
-	if p.analysisCache.CompareAndSwap(nil, v) {
-		return v
-	}
-	return p.analysisCache.Load()
+	v, _ := p.memo.LoadOrStore(key, build())
+	return v
 }
 
 // Func returns the named function, or nil.

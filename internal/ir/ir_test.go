@@ -2,6 +2,7 @@ package ir_test
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -114,6 +115,40 @@ func TestProgramClone(t *testing.T) {
 	}
 	if clone.Func("main") == prog.Func("main") {
 		t.Error("program clone shares functions")
+	}
+}
+
+// TestMemo: concurrent first callers of one key all receive one artifact,
+// keys of distinct types never collide, and clones start with an empty
+// memo. Run under -race.
+func TestMemo(t *testing.T) {
+	prog := compile(t, `func main() { print(1); }`)
+	type keyA struct{}
+	type keyB struct{}
+	got := make([]any, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = prog.Memo(keyA{}, func() any { return new(int) })
+		}()
+	}
+	wg.Wait()
+	for i := range got {
+		if got[i] != got[0] {
+			t.Fatalf("caller %d got a different artifact than caller 0", i)
+		}
+	}
+	if v := prog.Memo(keyB{}, func() any { return "b" }); v != "b" {
+		t.Errorf("keyB artifact = %v, want b", v)
+	}
+	for _, clone := range []*ir.Program{prog.Clone(), prog.CloneShared("main")} {
+		built := false
+		clone.Memo(keyA{}, func() any { built = true; return new(int) })
+		if !built {
+			t.Error("a clone served its source's memoized artifact")
+		}
 	}
 }
 

@@ -116,7 +116,9 @@ type ModRef struct {
 	Writes RegionSet
 }
 
-// Analysis holds the points-to and mod/ref results for a program.
+// Analysis holds the points-to and mod/ref results for a program. Once
+// solved it is read-only: every query only reads it, so one analysis
+// serves concurrent readers (see Of).
 type Analysis struct {
 	Prog  *ir.Program
 	Sites []*Site
@@ -124,19 +126,42 @@ type Analysis struct {
 	pts map[*ir.Local]siteSet
 	// heap maps each region to the sites stored in it.
 	heap map[Region]siteSet
-	// Summaries per function (transitive).
-	Summaries        map[*ir.Func]*ModRef
+	// summaries holds each function's transitive mod/ref summary.
+	summaries        map[*ir.Func]*ModRef
 	siteOf           map[*ir.Alloc]*Site
 	funcs            map[string]*ir.Func
 	fieldInsensitive bool
+	// base is the analysis an overlay built by Rebind defers to for every
+	// local, allocation, function and summary it does not hold itself; nil
+	// for a solved analysis.
+	base *Analysis
 }
 
 // callee resolves a call target by name. Program.Func is a linear scan and
 // the solvers resolve the same names on every fixed-point pass, so the table
 // is built once up front.
-func (a *Analysis) callee(name string) *ir.Func { return a.funcs[name] }
+func (a *Analysis) callee(name string) *ir.Func {
+	for ; a != nil; a = a.base {
+		if f, ok := a.funcs[name]; ok {
+			return f
+		}
+	}
+	return nil
+}
 
-// Analyze runs the field-sensitive analysis over the whole program.
+// memoKey keys the points-to solution in ir.Program.Memo.
+type memoKey struct{}
+
+// Of returns the program's field-sensitive analysis, solved once per
+// program and shared through ir.Program.Memo by every consumer. Callers
+// must not mutate the program afterwards; a clone being rewritten gets its
+// own view through Rebind.
+func Of(prog *ir.Program) *Analysis {
+	return prog.Memo(memoKey{}, func() any { return Analyze(prog) }).(*Analysis)
+}
+
+// Analyze runs the field-sensitive analysis over the whole program. Most
+// callers want the memoized Of instead.
 func Analyze(prog *ir.Program) *Analysis { return analyze(prog, false) }
 
 // AnalyzeFieldInsensitive collapses every field of a site into one region
@@ -152,7 +177,7 @@ func analyze(prog *ir.Program, fieldInsensitive bool) *Analysis {
 		fieldInsensitive: fieldInsensitive,
 		pts:              map[*ir.Local]siteSet{},
 		heap:             map[Region]siteSet{},
-		Summaries:        map[*ir.Func]*ModRef{},
+		summaries:        map[*ir.Func]*ModRef{},
 		siteOf:           map[*ir.Alloc]*Site{},
 		funcs:            make(map[string]*ir.Func, len(prog.Funcs)),
 	}
@@ -182,48 +207,22 @@ func analyze(prog *ir.Program, fieldInsensitive bool) *Analysis {
 // points-to facts depend only on program structure, so the solution carries
 // over verbatim — only the keys touching the replaced function need remapping
 // (locals by index, allocation sites by traversal order, the function's
-// summary by identity). All result sets are shared with the receiver, which
-// is not mutated and stays valid; the returned view is cheap enough to build
-// per instrumented clone, replacing a full interprocedural re-solve.
+// summary by identity).
+//
+// The result is an overlay: it holds just those remapped keys and the
+// function's name, and defers every other query to the receiver, whose
+// result sets it shares. Building it costs one function, not one program,
+// and the receiver is neither copied nor mutated.
 //
 // Returns nil when the clone does not line up with the receiver's program
 // (different function, local count, or alloc count); callers fall back to a
 // full Analyze then.
 func (a *Analysis) Rebind(clone *ir.Program, fnName string) *Analysis {
-	orig := a.funcs[fnName]
+	orig := a.callee(fnName)
 	g := clone.Func(fnName)
 	if orig == nil || g == nil || g == orig ||
 		len(orig.Locals) != len(g.Locals) || len(orig.Blocks) != len(g.Blocks) {
 		return nil
-	}
-	b := &Analysis{
-		Prog:             clone,
-		Sites:            a.Sites,
-		pts:              make(map[*ir.Local]siteSet, len(a.pts)+len(g.Locals)),
-		heap:             a.heap,
-		Summaries:        make(map[*ir.Func]*ModRef, len(a.Summaries)+1),
-		siteOf:           make(map[*ir.Alloc]*Site, len(a.siteOf)*2),
-		funcs:            make(map[string]*ir.Func, len(a.funcs)),
-		fieldInsensitive: a.fieldInsensitive,
-	}
-	for k, v := range a.pts {
-		b.pts[k] = v
-	}
-	for k, v := range a.Summaries {
-		b.Summaries[k] = v
-	}
-	for k, v := range a.siteOf {
-		b.siteOf[k] = v
-	}
-	for k, v := range a.funcs {
-		b.funcs[k] = v
-	}
-	b.funcs[fnName] = g
-	b.Summaries[g] = a.Summaries[orig]
-	for i, l := range orig.Locals {
-		if s, ok := a.pts[l]; ok {
-			b.pts[g.Locals[i]] = s
-		}
 	}
 	// ir.Func.Clone preserves block and instruction order, so the two alloc
 	// streams line up one-to-one.
@@ -231,14 +230,29 @@ func (a *Analysis) Rebind(clone *ir.Program, fnName string) *Analysis {
 	if len(oa) != len(ga) {
 		return nil
 	}
+	o := &Analysis{
+		Prog:             clone,
+		Sites:            a.Sites,
+		pts:              make(map[*ir.Local]siteSet, len(g.Locals)),
+		summaries:        map[*ir.Func]*ModRef{g: a.Summary(orig)},
+		siteOf:           make(map[*ir.Alloc]*Site, len(ga)),
+		funcs:            map[string]*ir.Func{fnName: g},
+		fieldInsensitive: a.fieldInsensitive,
+		base:             a,
+	}
+	for i, l := range orig.Locals {
+		if s := a.sitesOf(l); s != nil {
+			o.pts[g.Locals[i]] = s
+		}
+	}
 	for i := range oa {
-		s := a.siteOf[oa[i]]
+		s := a.site(oa[i])
 		if s == nil {
 			return nil
 		}
-		b.siteOf[ga[i]] = s
+		o.siteOf[ga[i]] = s
 	}
-	return b
+	return o
 }
 
 func collectAllocs(fn *ir.Func) []*ir.Alloc {
@@ -253,6 +267,30 @@ func collectAllocs(fn *ir.Func) []*ir.Alloc {
 	return out
 }
 
+// sitesOf returns the sites l may point to (nil when none). Unlike the
+// solver's ptsOf it never inserts: a solved analysis is shared by
+// concurrent readers, so queries must not write it.
+func (a *Analysis) sitesOf(l *ir.Local) siteSet {
+	for ; a != nil; a = a.base {
+		if s, ok := a.pts[l]; ok {
+			return s
+		}
+	}
+	return nil
+}
+
+// site returns an allocation's site, or nil.
+func (a *Analysis) site(al *ir.Alloc) *Site {
+	for ; a != nil; a = a.base {
+		if s, ok := a.siteOf[al]; ok {
+			return s
+		}
+	}
+	return nil
+}
+
+// ptsOf returns l's points-to set for the solver to grow, creating it on
+// first use.
 func (a *Analysis) ptsOf(l *ir.Local) siteSet {
 	s, ok := a.pts[l]
 	if !ok {
@@ -382,13 +420,13 @@ func (a *Analysis) solvePointsTo() {
 
 func (a *Analysis) solveModRef() {
 	for _, fn := range a.Prog.Funcs {
-		a.Summaries[fn] = &ModRef{Reads: RegionSet{}, Writes: RegionSet{}}
+		a.summaries[fn] = &ModRef{Reads: RegionSet{}, Writes: RegionSet{}}
 	}
 	changed := true
 	for changed {
 		changed = false
 		for _, fn := range a.Prog.Funcs {
-			mr := a.Summaries[fn]
+			mr := a.summaries[fn]
 			for _, b := range fn.Blocks {
 				for _, in := range b.Instrs {
 					switch i := in.(type) {
@@ -412,7 +450,7 @@ func (a *Analysis) solveModRef() {
 						if callee == nil {
 							continue
 						}
-						cs := a.Summaries[callee]
+						cs := a.summaries[callee]
 						if mr.Reads.AddAll(cs.Reads) {
 							changed = true
 						}
@@ -442,7 +480,7 @@ func (a *Analysis) AccessRegions(in ir.Instr) []Region {
 	}
 	f := a.fieldKey(in)
 	var out []Region
-	for s := range a.ptsOf(base.Local) {
+	for s := range a.sitesOf(base.Local) {
 		out = append(out, Region{Site: s, Field: f})
 	}
 	return out
@@ -451,11 +489,22 @@ func (a *Analysis) AccessRegions(in ir.Instr) []Region {
 // PointsTo returns the sites a local may reference.
 func (a *Analysis) PointsTo(l *ir.Local) []*Site {
 	var out []*Site
-	for s := range a.ptsOf(l) {
+	for s := range a.sitesOf(l) {
 		out = append(out, s)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
+}
+
+// Summary returns the transitive mod/ref summary of fn (nil for a function
+// outside the program).
+func (a *Analysis) Summary(fn *ir.Func) *ModRef {
+	for ; a != nil; a = a.base {
+		if s, ok := a.summaries[fn]; ok {
+			return s
+		}
+	}
+	return nil
 }
 
 // CallEffects returns the transitive mod/ref summary of a call instruction
@@ -469,5 +518,5 @@ func (a *Analysis) CallEffects(c *ir.Call) *ModRef {
 	if callee == nil {
 		return nil
 	}
-	return a.Summaries[callee]
+	return a.Summary(callee)
 }

@@ -119,9 +119,9 @@ func main() {
 	outer(a);
 	print(reader(a, 0));
 }`)
-	w := pa.Summaries[prog.Func("writer")]
-	r := pa.Summaries[prog.Func("reader")]
-	o := pa.Summaries[prog.Func("outer")]
+	w := pa.Summary(prog.Func("writer"))
+	r := pa.Summary(prog.Func("reader"))
+	o := pa.Summary(prog.Func("outer"))
 	if len(w.Writes) == 0 || len(w.Reads) != 0 {
 		t.Errorf("writer summary: %+v", w)
 	}

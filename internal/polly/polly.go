@@ -61,9 +61,9 @@ func (r *Report) String() string { return renderVerdicts(r.Verdicts) }
 // Analyze statically classifies every loop of the program.
 func Analyze(prog *ir.Program) *Report {
 	rep := &Report{Prog: prog, Verdicts: map[LoopKey]*Verdict{}}
-	pa := pointer.Analyze(prog)
+	pa := pointer.Of(prog)
 	for _, fn := range prog.Funcs {
-		env := affine.NewEnv(fn)
+		env := affine.EnvOf(prog, fn)
 		for _, loop := range env.Loops {
 			v := &Verdict{Key: LoopKey{fn.Name, loop.Index}}
 			rep.Verdicts[v.Key] = v

@@ -57,14 +57,15 @@ type Result struct {
 
 // Loop attempts a static commutativity proof for the loopIndex-th loop of
 // the named function. pur carries the program's purity facts (the caller
-// already has them); the interprocedural points-to solve is shared through
-// prog.AnalysisCache with the instrumentation pass.
+// already has them); the function's affine environment and the
+// interprocedural points-to solve are the per-program ones every other
+// consumer shares (affine.EnvOf, pointer.Of).
 func Loop(prog *ir.Program, fnName string, loopIndex int, pur *purity.Info) Result {
 	fn := prog.Func(fnName)
 	if fn == nil {
 		return Result{Reason: fmt.Sprintf("no function %q", fnName)}
 	}
-	env := affine.NewEnv(fn)
+	env := affine.EnvOf(prog, fn)
 	var loop *cfg.Loop
 	for _, l := range env.Loops {
 		if l.Index == loopIndex {
@@ -77,8 +78,7 @@ func Loop(prog *ir.Program, fnName string, loopIndex int, pur *purity.Info) Resu
 	if why := eligible(env, loop); why != "" {
 		return Result{Reason: why}
 	}
-	pa := prog.AnalysisCache(func() any { return pointer.Analyze(prog) }).(*pointer.Analysis)
-	p := newProver(prog, fn, env, pa, pur, loop)
+	p := newProver(prog, fn, env, pointer.Of(prog), pur, loop)
 	carried := scalar.Classify(env.Env, loop)
 
 	var whys []string

@@ -11,24 +11,24 @@ import (
 // Opcodes. The dispatch loop switches on these; Go compiles the dense
 // uint8 switch to a jump table.
 const (
-	opMov uint8 = iota
-	opBin     // a=dst, b=x, c=y, k=BinKind
-	opNeg     // a=dst, b=x
-	opNot     // a=dst, b=x
-	opLoad    // a=dst, b=base, c=index
-	opStore   // a=base, b=index, c=src
-	opAllocS  // a=dst, d=allocs index (struct)
-	opAllocA  // a=dst, b=count, d=allocs index (array)
-	opCall    // a=dst|-1, b=argPool off, n=argc, d=calls index
-	opCallB   // a=dst|-1, b=argPool off, n=argc, d=names index
-	opIntr    // a=dst|-1, b=argPool off, n=argc, d=names index
-	opPrint   // b=argPool off, n=argc
-	opGoto    // d=target block index
-	opIf      // b=cond, d=then block, c=else block
-	opRet     // c=1: value at b; c=0: void
-	opLoadBin // fused load+binop: load as opLoad, ext[d]={binDst,other,side}, k=BinKind
-	opCmpBr   // fused cmp+If: cmp as opBin, ext[d]={then,else} block indices
-	opErr     // d=errs index; c=1: terminator position (raw), else instruction (wrapped)
+	opMov     uint8 = iota
+	opBin           // a=dst, b=x, c=y, k=BinKind
+	opNeg           // a=dst, b=x
+	opNot           // a=dst, b=x
+	opLoad          // a=dst, b=base, c=index
+	opStore         // a=base, b=index, c=src
+	opAllocS        // a=dst, d=allocs index (struct)
+	opAllocA        // a=dst, b=count, d=allocs index (array)
+	opCall          // a=dst|-1, b=argPool off, n=argc, d=calls index
+	opCallB         // a=dst|-1, b=argPool off, n=argc, d=names index
+	opIntr          // a=dst|-1, b=argPool off, n=argc, d=names index
+	opPrint         // b=argPool off, n=argc
+	opGoto          // d=target block index
+	opIf            // b=cond, d=then block, c=else block
+	opRet           // c=1: value at b; c=0: void
+	opLoadBin       // fused load+binop: load as opLoad, ext[d]={binDst,other,side}, k=BinKind
+	opCmpBr         // fused cmp+If: cmp as opBin, ext[d]={then,else} block indices
+	opErr           // d=errs index; c=1: terminator position (raw), else instruction (wrapped)
 )
 
 // inst is one bytecode instruction: 20 bytes, flat in fnCode.ins. Operand
