@@ -121,7 +121,8 @@ func (s *Suite) SkippedProveRuns() int {
 }
 
 // StageSeconds sums the per-loop DCA stage durations across the suite:
-// static rewriting, golden runs, and schedule replays.
+// the static stage (separation, plus rewriting for loops that reach a
+// golden run), golden runs, and schedule replays.
 func (s *Suite) StageSeconds() (static, golden, replay float64) {
 	for _, r := range s.Results {
 		st, g, rp := r.DCA.StageSeconds()

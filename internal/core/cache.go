@@ -75,9 +75,10 @@ type cachedVerdict struct {
 	SkippedProve     int `json:"skipped_prove,omitempty"`
 }
 
-// loopKey fingerprints one loop analysis under the active options.
-func loopKey(prog *ir.Program, fnName string, loopIndex int, inst *instrument.Instrumented, opt *Options) string {
-	return fingerprint.Loop(prog, fnName, loopIndex, inst, fingerprint.Inputs{
+// loopKey fingerprints one loop analysis, from the loop's separation, under
+// the active options.
+func loopKey(prog *ir.Program, fnName string, loopIndex int, sep *instrument.Separated, opt *Options) string {
+	return fingerprint.Separated(prog, fnName, loopIndex, sep, fingerprint.Inputs{
 		Schedules:      opt.Schedules,
 		Limits:         opt.Limits(),
 		Retries:        opt.Retries,

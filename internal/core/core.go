@@ -1,11 +1,12 @@
 // Package core is the paper's primary contribution: Dynamic Commutativity
 // Analysis. For every loop of a program it runs the static stage (selection,
-// iterator/payload separation, outlining, instrumentation) and the dynamic
-// stage (golden execution plus permuted executions under a set of
-// schedules, with live-out verification), and reports a per-loop Verdict.
-// One uninstrumented reference run per program decides many loops before
-// their dynamic stage: those it saw run zero iterations, proved by the
-// static prover, or touch disjoint heap cells in every iteration.
+// iterator/payload separation) and the dynamic stage (outlining and
+// instrumentation, then a golden execution plus permuted executions under a
+// set of schedules, with live-out verification), and reports a per-loop
+// Verdict. One uninstrumented reference run per program decides many loops
+// right after their separation, before any instrumented program is built:
+// those it saw run zero iterations, proved by the static prover, or touch
+// disjoint heap cells in every iteration.
 package core
 
 import (
@@ -20,6 +21,7 @@ import (
 	"dca/internal/instrument"
 	"dca/internal/interp"
 	"dca/internal/ir"
+	"dca/internal/iterrec"
 	"dca/internal/obs"
 	"dca/internal/prove"
 	"dca/internal/purity"
@@ -112,8 +114,9 @@ type LoopResult struct {
 	// every permuted replay could only reconfirm the proof.
 	SkippedProve int
 	// DurStatic/DurGolden/DurReplay split the loop's analysis wall-clock
-	// into the static stage (separation, outlining, instrumentation), the
-	// golden run, and the schedule replays. Diagnostic only, like Elapsed.
+	// into the static stage (separation, plus outlining and instrumentation
+	// for a loop that reaches its golden run), the golden run, and the
+	// schedule replays. Diagnostic only, like Elapsed.
 	DurStatic time.Duration
 	DurGolden time.Duration
 	DurReplay time.Duration
@@ -173,8 +176,8 @@ func (r *Report) SkippedReplays() (stop, footprint int) {
 }
 
 // StageSeconds totals the per-loop stage durations across the report:
-// static (separation/outlining/instrumentation), golden runs, and schedule
-// replays.
+// static (separation, and outlining/instrumentation where a golden run
+// needed them), golden runs, and schedule replays.
 func (r *Report) StageSeconds() (static, golden, replay float64) {
 	for _, l := range r.Loops {
 		static += l.DurStatic.Seconds()
@@ -327,10 +330,11 @@ type Options struct {
 	Cache VerdictCache
 	// Trace, when non-nil, receives one structured event per stage of
 	// every loop's analysis lifecycle (static outcome, cache lookup,
-	// zero-iteration skip, prover attempt, golden run, each schedule replay,
-	// final verdict) plus one program-level event per reference execution. The sink must be
-	// safe for concurrent use; it observes the analysis and must never
-	// influence it. Not part of the fingerprinted inputs.
+	// zero-iteration skip, prover attempt, instrumented-program build,
+	// golden run, each schedule replay, final verdict) plus one
+	// program-level event per reference execution. The sink must be safe
+	// for concurrent use; it observes the analysis and must never influence
+	// it. Not part of the fingerprinted inputs.
 	Trace obs.Sink
 }
 
@@ -487,21 +491,16 @@ func RunReference(ctx context.Context, prog *ir.Program, opt Options) (*Referenc
 }
 
 // observed returns the reference run's evidence for one loop, counting its
-// iterations at the payload-entry block separation chose. ok is false when
-// the run recorded nothing (NoFootprint) or the loop was re-entered while
-// active: a recursive loop is only ever decided by its golden run.
-func (r *Reference) observed(fn *ir.Func, loop *cfg.Loop, inst *instrument.Instrumented) (run interp.LoopRun, ok bool) {
+// iterations at the payload-entry block sep chose. sep must be computed on
+// the analyzed program itself (instrument.Separate), whose blocks the
+// reference run recorded. ok is false when the run recorded nothing
+// (NoFootprint) or the loop was re-entered while active: a recursive loop
+// is only ever decided by its golden run.
+func (r *Reference) observed(sep *iterrec.Separation) (run interp.LoopRun, ok bool) {
 	if r.loops == nil {
 		return run, false
 	}
-	entry := -1
-	for i, b := range inst.Fn.Blocks {
-		if b == inst.Sep.B0 {
-			entry = i
-			break
-		}
-	}
-	run, ok = r.loops.Loop(fn, loop.Index, entry)
+	run, ok = r.loops.Loop(sep.Fn, sep.Loop.Index, sep.B0.Index)
 	return run, ok && !run.Reentered
 }
 
@@ -509,9 +508,9 @@ func (r *Reference) observed(fn *ir.Func, loop *cfg.Loop, inst *instrument.Instr
 // with other iterations through the environment object. The reference run
 // cannot see such a local's cross-iteration flow: it lives in a register
 // there, and in a heap field only in the instrumented program.
-func payloadWritesEnv(inst *instrument.Instrumented) bool {
-	for _, l := range inst.Sep.EnvLocals {
-		if inst.Sep.PayloadDefSet[l] {
+func payloadWritesEnv(sep *iterrec.Separation) bool {
+	for _, l := range sep.EnvLocals {
+		if sep.PayloadDefSet[l] {
 			return true
 		}
 	}
@@ -591,12 +590,13 @@ func sequentialExecutor(_ int, runOne func(i int) ScheduleOutcome) func(i int) S
 //     at the interpreter's next cancellation check. ctx may be nil.
 //   - ref is the program's reference run (RunReference). Its per-loop
 //     evidence decides three kinds of loop after the static stage, without
-//     any instrumented execution: zero iterations (NotExecuted), a static
-//     proof (Commutative, static-proved), and iteration-disjoint heap
-//     footprints (Commutative, footprint-proved). The static stage (I/O
-//     exclusion, separation, instrumentation) always runs first — a
+//     building or running any instrumented program: zero iterations
+//     (NotExecuted), a static proof (Commutative, static-proved), and
+//     iteration-disjoint heap footprints (Commutative, footprint-proved).
+//     The static stage (I/O exclusion, separation) always runs first — a
 //     never-executed I/O loop must still report ExcludedIO and a
-//     non-separable one NotSeparable.
+//     non-separable one NotSeparable. Outlining and instrumentation run
+//     only for a loop that reaches its golden run.
 //   - exec chooses how schedule replays execute (nil = sequential).
 func AnalyzeLoopInto(ctx context.Context, prog *ir.Program, fn *ir.Func, loop *cfg.Loop, pur *purity.Info, opt Options, ref *Reference, res *LoopResult, exec ScheduleExecutor) {
 	start := time.Now()
@@ -635,9 +635,11 @@ func AnalyzeLoopInto(ctx context.Context, prog *ir.Program, fn *ir.Func, loop *c
 		return
 	}
 
-	// --- Static stage: separate, outline, instrument. ---
+	// --- Static stage: separate the loop on the program itself. Separation
+	// alone decides transformability; the instrumented program is built
+	// only on the way into the golden run (instrumentLoop). ---
 	sstart := time.Now()
-	inst, err := instrument.Loop(prog, fn.Name, loop.Index)
+	sep, err := instrument.Separate(prog, fn.Name, loop.Index)
 	res.DurStatic = time.Since(sstart)
 	if err != nil {
 		res.Verdict = NotSeparable
@@ -651,14 +653,14 @@ func AnalyzeLoopInto(ctx context.Context, prog *ir.Program, fn *ir.Func, loop *c
 	inj := opt.InjectorFor(fn.Name, loop.Index)
 
 	// --- Incremental analysis: consult the verdict cache. The fingerprint
-	// covers every input that can reach the verdict (program IR, payload,
+	// covers every input that can reach the verdict (program IR, separation,
 	// schedules, budgets — see internal/fingerprint), so a hit is the exact
 	// outcome the dynamic stage below would recompute. Armed fault injection
 	// bypasses the cache in both directions: injected traps are harness
 	// behaviour, not reusable analysis results.
 	var key string
 	if opt.Cache != nil && inj == nil {
-		key = loopKey(prog, fn.Name, loop.Index, inst, &opt)
+		key = loopKey(prog, fn.Name, loop.Index, sep, &opt)
 		if data, ok := opt.Cache.Get(key); ok && decodeCachedVerdict(data, res) {
 			res.Provenance = ProvenanceCached
 			opt.emit(obs.Event{Stage: obs.StageCache, Fn: res.Fn, LoopID: res.ID, Outcome: obs.OutcomeHit})
@@ -675,7 +677,7 @@ func AnalyzeLoopInto(ctx context.Context, prog *ir.Program, fn *ir.Func, loop *c
 	var seen interp.LoopRun
 	decidable := false
 	if inj == nil {
-		seen, decidable = ref.observed(fn, loop, inst)
+		seen, decidable = ref.observed(sep.Sep)
 	}
 
 	// --- Zero iterations: the workload never runs this loop's payload, so
@@ -699,7 +701,7 @@ func AnalyzeLoopInto(ctx context.Context, prog *ir.Program, fn *ir.Func, loop *c
 			return
 		}
 		switch {
-		case decidable && (proved || seen.Disjoint && !payloadWritesEnv(inst)):
+		case decidable && (proved || seen.Disjoint && !payloadWritesEnv(sep.Sep)):
 			// A proof quantifies over iteration orders and the reference
 			// run shows the workload exercises the payload; or the
 			// reference run saw no heap cell shared between two iterations
@@ -723,7 +725,9 @@ func AnalyzeLoopInto(ctx context.Context, prog *ir.Program, fn *ir.Func, loop *c
 				res.SkippedFootprint = len(opt.Schedules)
 			}
 		default:
-			dynamicStage(ctx, inst, &opt, ref.Out, res, inj, exec, proved)
+			if inst := instrumentLoop(prog, fn, loop, &opt, res); inst != nil {
+				dynamicStage(ctx, inst, &opt, ref.Out, res, inj, exec, proved)
+			}
 		}
 	}
 
@@ -771,6 +775,30 @@ func proveLoop(ctx context.Context, prog *ir.Program, fn *ir.Func, loop *cfg.Loo
 	opt.emit(obs.Event{Stage: obs.StageProve, Fn: res.Fn, LoopID: res.ID,
 		Outcome: obs.OutcomeProved, Reason: pr.Argument, DurationMS: dur})
 	return true, true
+}
+
+// instrumentLoop builds the instrumented program of a loop whose golden run
+// must execute, adding the build time to res.DurStatic. A build that fails
+// marks the loop NotSeparable and returns nil. Separation already rejects
+// every other loop instrument.Loop rejects, so only a malformed outlined or
+// rewritten function can fail here.
+func instrumentLoop(prog *ir.Program, fn *ir.Func, loop *cfg.Loop, opt *Options, res *LoopResult) *instrument.Instrumented {
+	start := time.Now()
+	inst, err := instrument.Loop(prog, fn.Name, loop.Index)
+	d := time.Since(start)
+	res.DurStatic += d
+	ev := obs.Event{Stage: obs.StageInstrument, Fn: res.Fn, LoopID: res.ID, Outcome: obs.OutcomeOK,
+		DurationMS: float64(d) / float64(time.Millisecond)}
+	if err != nil {
+		res.Verdict = NotSeparable
+		res.Reason = trimPrefixes(err.Error())
+		ev.Outcome, ev.Err = NotSeparable.String(), res.Reason
+	}
+	opt.emit(ev)
+	if err != nil {
+		return nil
+	}
+	return inst
 }
 
 // dynamicStage runs the golden execution and the permuted replays for one

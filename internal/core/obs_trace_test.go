@@ -7,9 +7,11 @@ import (
 
 	"dca/internal/core"
 	"dca/internal/engine"
+	"dca/internal/ir"
 	"dca/internal/irbuild"
 	"dca/internal/obs"
 	"dca/internal/sandbox"
+	"dca/internal/workloads/npb"
 )
 
 // mapCache is a minimal VerdictCache for trace tests.
@@ -44,8 +46,9 @@ func loopEvents(events []obs.Event) map[string][]obs.Event {
 
 // TestTraceEventLifecycle: one analysis (prover off and no decisions from
 // the reference run, so the dynamic stage runs) emits a reference event
-// and, per loop, static → cache miss → golden → one replay per schedule →
-// verdict, in that order, with the verdict events agreeing with the report.
+// and, per loop, static → cache miss → instrument → golden → one replay per
+// schedule → verdict, in that order, with the verdict events agreeing with
+// the report.
 func TestTraceEventLifecycle(t *testing.T) {
 	prog, err := irbuild.Compile("trace.mc", `
 func main() {
@@ -79,8 +82,9 @@ func main() {
 		for i, ev := range evs {
 			stages[i] = ev.Stage
 		}
-		// static, cache miss, golden, one replay per schedule, verdict.
-		wantLen := 4 + lr.SchedulesTested
+		// static, cache miss, instrument, golden, one replay per schedule,
+		// verdict.
+		wantLen := 5 + lr.SchedulesTested
 		if len(evs) != wantLen {
 			t.Fatalf("loop %s: %d events %v, want %d", lr.ID, len(evs), stages, wantLen)
 		}
@@ -90,13 +94,16 @@ func main() {
 		if evs[1].Stage != obs.StageCache || evs[1].Outcome != obs.OutcomeMiss {
 			t.Errorf("loop %s: second event %+v, want cache miss", lr.ID, evs[1])
 		}
-		if evs[2].Stage != obs.StageGolden || evs[2].DurationMS <= 0 {
-			t.Errorf("loop %s: third event %+v, want timed golden run", lr.ID, evs[2])
+		if evs[2].Stage != obs.StageInstrument || evs[2].Outcome != obs.OutcomeOK || evs[2].DurationMS <= 0 {
+			t.Errorf("loop %s: third event %+v, want a timed ok instrument build", lr.ID, evs[2])
+		}
+		if evs[3].Stage != obs.StageGolden || evs[3].DurationMS <= 0 {
+			t.Errorf("loop %s: fourth event %+v, want timed golden run", lr.ID, evs[3])
 		}
 		for i := 0; i < lr.SchedulesTested; i++ {
-			ev := evs[3+i]
+			ev := evs[4+i]
 			if ev.Stage != obs.StageReplay || ev.Schedule == "" {
-				t.Errorf("loop %s: event %d = %+v, want named replay", lr.ID, 3+i, ev)
+				t.Errorf("loop %s: event %d = %+v, want named replay", lr.ID, 4+i, ev)
 			}
 		}
 		last := evs[len(evs)-1]
@@ -107,7 +114,8 @@ func main() {
 }
 
 // TestTraceCacheHit: a warm second analysis emits cache-hit events and
-// cached-provenance verdicts with no golden or replay executions.
+// cached-provenance verdicts with no golden or replay executions, and
+// builds no instrumented program.
 func TestTraceCacheHit(t *testing.T) {
 	prog, err := irbuild.Compile("trace.mc", `
 func main() {
@@ -136,7 +144,7 @@ func main() {
 			if ev.Outcome == obs.OutcomeHit {
 				hits++
 			}
-		case obs.StageGolden, obs.StageReplay:
+		case obs.StageInstrument, obs.StageGolden, obs.StageReplay:
 			runs++
 		case obs.StageVerdict:
 			if ev.Provenance != core.ProvenanceCached {
@@ -148,7 +156,7 @@ func main() {
 		t.Errorf("cache hit events = %d, want %d", hits, len(rep.Loops))
 	}
 	if runs != 0 {
-		t.Errorf("warm analysis emitted %d golden/replay events, want 0", runs)
+		t.Errorf("warm analysis emitted %d instrument/golden/replay events, want 0", runs)
 	}
 }
 
@@ -254,5 +262,54 @@ func main() {
 			ev.Trap != sandbox.Fault.String() || ev.Err == "" {
 			t.Errorf("%s: event %+v, want a reference trap with kind fault and an error", name, ev)
 		}
+	}
+}
+
+// TestTraceInstrumentOnlyForGoldenRuns: over one pass of the ten NPB
+// proxies, the instrumented program is built exactly for the loops whose
+// golden run executes, and a warm-cache pass builds none.
+func TestTraceInstrumentOnlyForGoldenRuns(t *testing.T) {
+	vc := newMapCache()
+	var progs []*ir.Program
+	for _, spec := range npb.Specs() {
+		prog, err := spec.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		progs = append(progs, prog)
+	}
+	count := func(col *obs.Collector) (builds, goldens int) {
+		for _, ev := range col.Events() {
+			switch ev.Stage {
+			case obs.StageInstrument:
+				builds++
+				if ev.Outcome != obs.OutcomeOK {
+					t.Errorf("loop %s: instrument event %+v, want ok", ev.LoopID, ev)
+				}
+			case obs.StageGolden:
+				goldens++
+			}
+		}
+		return builds, goldens
+	}
+	cold := &obs.Collector{}
+	for _, prog := range progs {
+		if _, err := core.Analyze(prog, core.Options{Trace: cold, Cache: vc}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	builds, goldens := count(cold)
+	if builds != goldens || goldens == 0 {
+		t.Errorf("cold pass: %d instrumented builds for %d golden runs, want equal and nonzero", builds, goldens)
+	}
+	t.Logf("cold pass: %d builds, %d golden runs", builds, goldens)
+	warm := &obs.Collector{}
+	for _, prog := range progs {
+		if _, err := core.Analyze(prog, core.Options{Trace: warm, Cache: vc}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if builds, goldens := count(warm); builds != 0 || goldens != 0 {
+		t.Errorf("warm pass: %d instrumented builds, %d golden runs, want none", builds, goldens)
 	}
 }

@@ -14,11 +14,12 @@ import (
 )
 
 // TestReferenceCountsMatchGoldenRun: the invocation and iteration counts
-// the reference run records for a loop equal what that loop's golden run
-// observes, on a program with nested loops, a callee loop run from inside
-// another loop, a return from inside a loop, a silent store and a zero-trip
-// loop. Its recursive loop, whose golden run faults, must be one the
-// reference run refuses to vouch for.
+// the reference run records for a loop, read at the payload entry of the
+// loop's separation on the original program, equal what the golden run of
+// the instrumented clone observes, on a program with nested loops, a callee
+// loop run from inside another loop, a return from inside a loop, a silent
+// store and a zero-trip loop. Its recursive loop, whose golden run faults,
+// must be one the reference run refuses to vouch for.
 func TestReferenceCountsMatchGoldenRun(t *testing.T) {
 	src, err := os.ReadFile(filepath.Join("..", "interp", "testdata", "loops", "loopshapes.mc"))
 	if err != nil {
@@ -37,13 +38,17 @@ func TestReferenceCountsMatchGoldenRun(t *testing.T) {
 	for _, fn := range prog.Funcs {
 		_, loops := cfg.LoopsOf(fn)
 		for _, loop := range loops {
+			sep, err := instrument.Separate(prog, fn.Name, loop.Index)
+			if err != nil {
+				t.Fatalf("%s: %v", loop.ID(), err)
+			}
 			inst, err := instrument.Loop(prog, fn.Name, loop.Index)
 			if err != nil {
 				t.Fatalf("%s: %v", loop.ID(), err)
 			}
 			rt := dcart.NewRuntime(dcart.Identity{})
 			oc := sandbox.Run(nil, inst.Prog, interp.Config{Runtime: rt}, opt.Limits(), nil)
-			seen, ok := ref.observed(fn, loop, inst)
+			seen, ok := ref.observed(sep.Sep)
 			if !oc.OK() {
 				if ok {
 					t.Errorf("%s: golden run trapped (%v) but the reference run vouches for the loop", loop.ID(), oc.Trap)

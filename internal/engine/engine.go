@@ -6,9 +6,11 @@
 // Three properties make the fan-out sound:
 //
 //   - Replays never share mutable state. instrument.Loop clones the program
-//     per loop, the interpreter allocates a fresh heap per execution, and
-//     the shared inputs (original program, purity info, loop forests) are
-//     read-only after construction.
+//     for each loop that reaches its golden run, the interpreter allocates a
+//     fresh heap per execution, and the shared inputs (original program,
+//     purity info, loop forests, and the function environments and
+//     points-to solution every loop's separation reads) are read-only after
+//     construction.
 //   - Determinism is recovered structurally, not by locking: loop results
 //     are preallocated in enumeration order and sorted exactly like the
 //     sequential path, and schedule outcomes are folded in schedule order

@@ -14,12 +14,14 @@
 //     sees, and therefore the verdict. Per-loop keys that covered only the
 //     loop body would be unsound.
 //   - The target loop (function name + loop index).
-//   - The static stage's outputs for the loop: the outlined payload IR, the
-//     iterator value slice, the environment (live-in/loop-carried) fields,
-//     and the live-out set rt_verify snapshots. These are derivable from
-//     the program walk, but hashing them directly anchors the invalidation
-//     contract: any change to what the dynamic stage replays or verifies
-//     changes the key.
+//   - The loop's separation: the iterator locals whose values the
+//     linearized loop records, the environment locals the payload shares
+//     across iterations, and the live-out roots rt_verify snapshots (each
+//     by name and type). The key is computed before any instrumented
+//     program exists, so it does not hash the outlined payload: the
+//     program walk, the loop and the code version determine it. A change
+//     to separation, outlining or rewriting that can change what the
+//     dynamic stage replays or verifies must therefore bump Version.
 //   - The schedule set (count and per-schedule identity, including random
 //     seeds) — the evidence the verdict rests on.
 //   - The sandbox limits (steps, heap, output, wall clock), the retry
@@ -50,10 +52,12 @@ import (
 // Version is the fingerprint schema version. Bump it whenever the token
 // walk changes (new tokens, reordered fields, different serialization) or
 // a knob's meaning changes under the same token, so stale keys can never
-// alias fresh ones. Version 4: NoFootprint also gates the decisions from
-// the reference run (coverage included), which changed the evidence behind
-// default-configuration verdicts.
-const Version = 4
+// alias fresh ones — and whenever separation, outlining or rewriting
+// changes what the dynamic stage executes, since the key hashes the
+// separation, not the instrumented program. Version 5: the key hashes the
+// separation's iterator, environment and live-out locals instead of the
+// outlined payload.
+const Version = 5
 
 // Key is a 128-bit loop-analysis fingerprint.
 type Key struct{ Hi, Lo uint64 }
@@ -102,7 +106,6 @@ const (
 	tagInstr
 	tagTerm
 	tagTarget
-	tagPayload
 	tagIter
 	tagEnv
 	tagLiveOut
@@ -249,47 +252,33 @@ func programPrefix(prog *ir.Program) hasher {
 	}).(hasher)
 }
 
-// Loop fingerprints one loop analysis: the program under test, the target
-// loop, its static-stage outputs, and the dynamic-stage configuration.
-// Equal keys mean the dynamic stage would run byte-identically; any change
-// to an input that can reach the verdict yields a different key (up to hash
-// collisions, ~2^-128 for non-adversarial inputs). The program walk is
-// memoized on prog, so prog must not be mutated between calls.
-func Loop(prog *ir.Program, fnName string, loopIndex int, inst *instrument.Instrumented, in Inputs) Key {
+// Separated fingerprints one loop analysis: the program under test, the
+// target loop, its separation s (instrument.Separate), and the
+// dynamic-stage configuration. Equal keys mean the dynamic stage would run
+// byte-identically; any change to an input that can reach the verdict
+// yields a different key (up to hash collisions, ~2^-128 for
+// non-adversarial inputs). The program walk is memoized on prog, so prog
+// must not be mutated between calls.
+func Separated(prog *ir.Program, fnName string, loopIndex int, s *instrument.Separated, in Inputs) Key {
 	h := programPrefix(prog)
 
 	h.word(tagTarget)
 	h.str(fnName)
 	h.word(uint64(loopIndex))
 
-	// Static-stage outputs: the outlined payload the replays execute, the
-	// iterator slice it consumes, the environment it shares, and the
-	// live-out roots rt_verify snapshots.
-	h.word(tagPayload)
-	h.fn(inst.Payload.Payload)
+	// The separation: the iterator values the payload consumes, the
+	// environment it shares, and the live-out roots rt_verify snapshots.
 	h.word(tagIter)
-	h.word(uint64(len(inst.Payload.IterParams)))
-	for _, p := range inst.Payload.IterParams {
-		h.str(p.Name)
-		h.str(p.Type.String())
-	}
+	h.locals(s.Sep.IterLocals)
 	h.word(tagEnv)
-	h.word(uint64(len(inst.Payload.EnvType.Fields)))
-	for _, fld := range inst.Payload.EnvType.Fields {
-		h.str(fld.Name)
-		h.str(fld.Type.String())
-	}
+	h.locals(s.Sep.EnvLocals)
 	h.word(tagLiveOut)
-	h.word(uint64(len(inst.LiveOut)))
-	for _, l := range inst.LiveOut {
-		h.str(l.Name)
-		h.str(l.Type.String())
-	}
+	h.locals(s.LiveOut)
 
 	h.word(tagSchedule)
 	h.word(uint64(len(in.Schedules)))
-	for _, s := range in.Schedules {
-		h.str(s.Name())
+	for _, sched := range in.Schedules {
+		h.str(sched.Name())
 	}
 
 	h.word(tagLimits)
@@ -316,6 +305,22 @@ func Loop(prog *ir.Program, fnName string, loopIndex int, inst *instrument.Instr
 	}
 	h.word(tagEnd)
 	return Key{Hi: h.hi, Lo: h.lo}
+}
+
+// Loop is Separated for an instrumented loop: inst's separation, computed
+// on the clone, names the same locals as the program's own, so the key is
+// the one the analysis computes before it builds inst.
+func Loop(prog *ir.Program, fnName string, loopIndex int, inst *instrument.Instrumented, in Inputs) Key {
+	return Separated(prog, fnName, loopIndex, &inst.Separated, in)
+}
+
+// locals hashes a count-prefixed list of locals by name and type.
+func (h *hasher) locals(ls []*ir.Local) {
+	h.word(uint64(len(ls)))
+	for _, l := range ls {
+		h.str(l.Name)
+		h.str(l.Type.String())
+	}
 }
 
 // Run fingerprints a whole analysis run: the program under test plus the

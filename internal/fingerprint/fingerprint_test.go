@@ -5,12 +5,14 @@ import (
 	"testing"
 	"time"
 
+	"dca/internal/cfg"
 	"dca/internal/dcart"
 	"dca/internal/fingerprint"
 	"dca/internal/instrument"
 	"dca/internal/ir"
 	"dca/internal/irbuild"
 	"dca/internal/sandbox"
+	"dca/internal/workloads/npb"
 )
 
 const baseSrc = `
@@ -213,6 +215,45 @@ func TestSharedProgramWalk(t *testing.T) {
 	wg.Wait()
 }
 
+// TestLoopKeyMatchesSeparated: the key of an instrumented loop, whose
+// separation was computed on the clone, equals the key the analysis
+// computes from the separation on the program itself before any clone
+// exists, for every separable loop of baseSrc and two NPB proxies.
+func TestLoopKeyMatchesSeparated(t *testing.T) {
+	progs := []*ir.Program{compile(t, baseSrc)}
+	for _, name := range []string{"EP", "IS"} {
+		prog, err := npb.SpecByName(name).Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		progs = append(progs, prog)
+	}
+	checked := 0
+	for _, prog := range progs {
+		for _, fn := range prog.Funcs {
+			_, loops := cfg.LoopsOf(fn)
+			for _, loop := range loops {
+				sep, err := instrument.Separate(prog, fn.Name, loop.Index)
+				if err != nil {
+					continue
+				}
+				inst, err := instrument.Loop(prog, fn.Name, loop.Index)
+				if err != nil {
+					t.Fatalf("%s: Separate succeeded, Loop failed: %v", loop.ID(), err)
+				}
+				want := fingerprint.Separated(prog, fn.Name, loop.Index, sep, defaultInputs())
+				if got := fingerprint.Loop(prog, fn.Name, loop.Index, inst, defaultInputs()); got != want {
+					t.Errorf("%s: instrumented key %s, separation key %s", loop.ID(), got, want)
+				}
+				checked++
+			}
+		}
+	}
+	if checked < 10 {
+		t.Fatalf("compared %d loops, want at least 10", checked)
+	}
+}
+
 // TestPositionInsensitive: formatting-only source changes (moved lines,
 // comments) shift positions but not structure; the key must not change.
 func TestPositionInsensitive(t *testing.T) {
@@ -229,15 +270,15 @@ func TestPositionInsensitive(t *testing.T) {
 // orphans every on-disk cache entry and run journal, so it must come with a
 // Version bump; only then are these literals recomputed.
 func TestPinnedKeys(t *testing.T) {
-	const pinnedVersion = 4
+	const pinnedVersion = 5
 	if fingerprint.Version != pinnedVersion {
 		t.Fatalf("Version is %d but the keys below were computed at %d; recompute them",
 			fingerprint.Version, pinnedVersion)
 	}
-	if got, want := keyOf(t, baseSrc, 0, defaultInputs()).String(), "c94f13af2d661d7395fdf81fd90deb8c"; got != want {
+	if got, want := keyOf(t, baseSrc, 0, defaultInputs()).String(), "3f3b4ab78b0807fe35171798671764e1"; got != want {
 		t.Errorf("Loop key = %s, want %s: the walk changed without a Version bump", got, want)
 	}
-	if got, want := fingerprint.Run(compile(t, baseSrc), defaultInputs()).String(), "a217ef4590d0630299b0ce47a0df2193"; got != want {
+	if got, want := fingerprint.Run(compile(t, baseSrc), defaultInputs()).String(), "628ed0b07c1cdd5150875e05c1fb39b1"; got != want {
 		t.Errorf("Run key = %s, want %s: the walk changed without a Version bump", got, want)
 	}
 }

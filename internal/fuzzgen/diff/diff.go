@@ -31,6 +31,7 @@ import (
 	"sync"
 	"time"
 
+	"dca/internal/cfg"
 	"dca/internal/core"
 	"dca/internal/dcart"
 	"dca/internal/depprof"
@@ -45,6 +46,7 @@ import (
 	"dca/internal/irbuild"
 	"dca/internal/parallel"
 	"dca/internal/polly"
+	"dca/internal/purity"
 	"dca/internal/sandbox"
 	"dca/internal/vm"
 )
@@ -237,32 +239,21 @@ func Check(p *fuzzgen.Program, opt Options) (res *Result) {
 	}
 
 	// Cross-check 4: every statically proved verdict against the dynamic
-	// oracle. Re-analyze with the prover disabled and demand that no proved
-	// loop comes back NonCommutative — divergence evidence against a proof
-	// means the prover is unsound. Coverage-loss verdicts (not-executed,
-	// resource-exhausted, failed) are not disagreement: the proof needs no
-	// execution evidence, which is the point of having it.
-	anyProved := false
+	// oracle. Re-analyze the proved loops with the prover disabled and
+	// demand that none comes back NonCommutative — divergence evidence
+	// against a proof means the prover is unsound. Coverage-loss verdicts
+	// (not-executed, resource-exhausted, failed) are not disagreement: the
+	// proof needs no execution evidence, which is the point of having it.
+	var proved []LoopOutcome
 	for _, out := range res.Loops {
 		if out.Proved {
-			anyProved = true
-			break
+			proved = append(proved, out)
 		}
 	}
-	if anyProved {
-		dyn, err := core.Analyze(prog, core.Options{
-			Schedules: opt.Schedules,
-			MaxSteps:  opt.MaxSteps,
-			Timeout:   opt.Timeout,
-			NoProve:   true,
-		})
-		if err == nil {
-			for _, out := range res.Loops {
-				if !out.Proved {
-					continue
-				}
-				dr := dyn.Result(out.Fn, out.Index)
-				if dr != nil && dr.Verdict == core.NonCommutative {
+	if len(proved) > 0 {
+		if dyn, err := analyzeNoProve(prog, opt, proved); err == nil {
+			for i, dr := range dyn {
+				if out := proved[i]; dr.Verdict == core.NonCommutative {
 					res.Violations = append(res.Violations, Violation{
 						Kind: KindProverDiv, Fn: out.Fn, Index: out.Index, Label: out.Label,
 						Verdict: out.Verdict.String(),
@@ -291,6 +282,33 @@ func Check(p *fuzzgen.Program, opt Options) (res *Result) {
 		runBaselines(prog, opt, res)
 	}
 	return res
+}
+
+// analyzeNoProve analyzes the given loops of prog with the prover disabled,
+// returning one result per loop, in order. It runs the program's reference
+// execution once and then only those loops, not every loop of the program:
+// each loop's result is the one a whole-program analysis would report.
+func analyzeNoProve(prog *ir.Program, opt Options, loops []LoopOutcome) ([]*core.LoopResult, error) {
+	copt := core.Options{
+		Schedules: opt.Schedules,
+		MaxSteps:  opt.MaxSteps,
+		Timeout:   opt.Timeout,
+		NoProve:   true,
+	}.Normalized()
+	ref, err := core.RunReference(nil, prog, copt)
+	if err != nil {
+		return nil, err
+	}
+	pur := purity.Analyze(prog)
+	out := make([]*core.LoopResult, len(loops))
+	for i, l := range loops {
+		fn := prog.Func(l.Fn)
+		_, fnLoops := cfg.LoopsOf(fn)
+		loop := fnLoops[l.Index]
+		out[i] = &core.LoopResult{Fn: l.Fn, Index: l.Index, ID: loop.ID()}
+		core.AnalyzeLoopInto(context.Background(), prog, fn, loop, pur, copt, ref, out[i], nil)
+	}
+	return out, nil
 }
 
 // execOutcome captures one executor's complete observable behaviour on a
@@ -452,8 +470,8 @@ func LoopFingerprint(src, fn string, index int) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if inst, err := instrument.Loop(prog, fn, index); err == nil {
-		return fingerprint.Loop(prog, fn, index, inst, fingerprint.Inputs{}).String(), nil
+	if sep, err := instrument.Separate(prog, fn, index); err == nil {
+		return fingerprint.Separated(prog, fn, index, sep, fingerprint.Inputs{}).String(), nil
 	}
 	return fingerprint.Run(prog, fingerprint.Inputs{}).String(), nil
 }

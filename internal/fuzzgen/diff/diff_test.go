@@ -8,6 +8,7 @@ import (
 
 	"dca/internal/core"
 	"dca/internal/fuzzgen"
+	"dca/internal/irbuild"
 )
 
 // TestCampaignHealthy runs a small real campaign end to end — generator,
@@ -197,4 +198,56 @@ func TestLoopFingerprintStable(t *testing.T) {
 	if a != b || a == "" {
 		t.Errorf("fingerprint unstable or empty: %q vs %q", a, b)
 	}
+}
+
+// TestProvedRecheckMatchesWholeProgram: cross-check 4 re-analyzes only the
+// proved loops, with the prover disabled. Over fuzzgen seeds 1-300, each of
+// those per-loop results equals the loop's result in a whole-program
+// analysis with the prover disabled.
+func TestProvedRecheckMatchesWholeProgram(t *testing.T) {
+	opt := Options{}.normalized()
+	copt := core.Options{Schedules: opt.Schedules, MaxSteps: opt.MaxSteps, Timeout: opt.Timeout}
+	noProve := copt
+	noProve.NoProve = true
+	checked := 0
+	for seed := int64(1); seed <= 300; seed++ {
+		prog, err := irbuild.Compile("fuzz.mc", fuzzgen.New(seed).Render())
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		rep, err := core.Analyze(prog, copt)
+		if err != nil {
+			continue // the program traps; Check skips it as well
+		}
+		var proved []LoopOutcome
+		for _, lr := range rep.Loops {
+			if lr.Provenance == core.ProvenanceProved {
+				proved = append(proved, LoopOutcome{Fn: lr.Fn, Index: lr.Index})
+			}
+		}
+		if len(proved) == 0 {
+			continue
+		}
+		whole, err := core.Analyze(prog, noProve)
+		if err != nil {
+			t.Fatalf("seed %d: whole-program analysis: %v", seed, err)
+		}
+		got, err := analyzeNoProve(prog, opt, proved)
+		if err != nil {
+			t.Fatalf("seed %d: per-loop analysis: %v", seed, err)
+		}
+		for _, g := range got {
+			w := whole.Result(g.Fn, g.Index)
+			if w == nil || g.ID != w.ID || g.Verdict != w.Verdict || g.Reason != w.Reason ||
+				g.Provenance != w.Provenance || g.TrapKind != w.TrapKind ||
+				g.Invocations != w.Invocations || g.Iterations != w.Iterations {
+				t.Errorf("seed %d loop %s: per-loop %s %q (%s), whole program %+v", seed, g.ID, g.Verdict, g.Reason, g.Provenance, w)
+			}
+			checked++
+		}
+	}
+	if checked < 100 {
+		t.Fatalf("compared %d proved loops, want at least 100", checked)
+	}
+	t.Logf("%d proved loops compared", checked)
 }

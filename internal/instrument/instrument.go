@@ -15,11 +15,17 @@
 //
 // Loop exits are funneled through an exit-id dispatch so multi-exit loops
 // resume at the correct continuation after the driver completes.
+//
+// Separate runs only the first step, iterator/payload separation, on the
+// program itself. It decides whether Loop can transform the loop and yields
+// what an analysis reads before it needs the instrumented program, so an
+// analysis builds that program only for a loop it must execute.
 package instrument
 
 import (
 	"fmt"
 
+	"dca/internal/affine"
 	"dca/internal/cfg"
 	"dca/internal/dataflow"
 	"dca/internal/ir"
@@ -39,19 +45,46 @@ const (
 	RTVerify    = "rt_verify"
 )
 
-// Instrumented is a program rewritten to test one loop.
-type Instrumented struct {
-	Prog    *ir.Program // instrumented clone
-	Fn      *ir.Func    // function containing the rewritten loop (in Prog)
-	LoopID  string
-	Sep     *iterrec.Separation // separation computed on the clone
-	Payload *outline.Result
+// Separated is one loop's iterator/payload separation and the live-out
+// roots rt_verify snapshots, computed on one function: the program's own
+// (Separate) or the instrumented clone's (Loop).
+type Separated struct {
+	LoopID string
+	Sep    *iterrec.Separation
 	// LiveOut names the locals whose values rt_verify snapshots.
 	LiveOut []*ir.Local
+}
+
+// Instrumented is a program rewritten to test one loop.
+type Instrumented struct {
+	Prog *ir.Program // instrumented clone
+	Fn   *ir.Func    // function containing the rewritten loop (in Prog)
+	// Separated is the separation computed on the clone.
+	Separated
+	Payload *outline.Result
 	// Carried classifies the loop-carried scalars of the rewritten loop
 	// (computed before rewriting); the parallel executor uses it to choose
 	// reduction combiners for environment fields.
 	Carried []scalar.Carried
+}
+
+// Separate separates the loopIndex-th loop (in cfg.FindLoops order) of the
+// named function on prog itself, from the function's shared facts
+// (affine.EnvOf, pointer.Of): nothing is cloned, outlined or rewritten. It
+// rejects exactly the loops Loop rejects, with the same errors, except a
+// malformed outlined or rewritten function, which only Loop's verifier can
+// see. The result refers to prog's own blocks and locals. Safe for
+// concurrent use.
+func Separate(prog *ir.Program, fnName string, loopIndex int) (*Separated, error) {
+	fn := prog.Func(fnName)
+	if fn == nil {
+		return nil, noFunc(fnName)
+	}
+	env := affine.EnvOf(prog, fn)
+	if loopIndex < 0 || loopIndex >= len(env.Loops) {
+		return nil, outOfRange(fnName, len(env.Loops), loopIndex)
+	}
+	return separate(env.Env, env.Loops[loopIndex], pointer.Of(prog))
 }
 
 // Loop instruments the loopIndex-th loop (in cfg.FindLoops order) of the
@@ -62,15 +95,15 @@ func Loop(prog *ir.Program, fnName string, loopIndex int) (*Instrumented, error)
 	clone := prog.CloneShared(fnName)
 	fn := clone.Func(fnName)
 	if fn == nil {
-		return nil, fmt.Errorf("instrument: no function %q", fnName)
+		return nil, noFunc(fnName)
 	}
 	g, loops := cfg.LoopsOf(fn)
 	if loopIndex < 0 || loopIndex >= len(loops) {
-		return nil, fmt.Errorf("instrument: %s has %d loops, index %d out of range", fnName, len(loops), loopIndex)
+		return nil, outOfRange(fnName, len(loops), loopIndex)
 	}
 	loop := loops[loopIndex]
 	preFuncs := len(clone.Funcs)
-	pd := cfg.ComputePostDom(g)
+	env := &scalar.Env{G: g, PD: cfg.ComputePostDom(g), LV: dataflow.ComputeLiveness(g)}
 	// The clone is structurally identical to prog at this point (fn is not
 	// rewritten yet), so the interprocedural points-to solve runs once per
 	// program and is rebound per loop: an overlay remaps fn's keys and
@@ -79,41 +112,22 @@ func Loop(prog *ir.Program, fnName string, loopIndex int) (*Instrumented, error)
 	if pa == nil {
 		pa = pointer.Analyze(clone)
 	}
-	lv := dataflow.ComputeLiveness(g)
-	sep := iterrec.Separate(g, pd, loop, pa, lv)
-	if !sep.OK {
-		return nil, fmt.Errorf("instrument: %s: %s", loop.ID(), sep.Reason)
-	}
-	effects := lv.AnalyzeLoop(loop)
-
-	pay, err := outline.Outline(sep)
+	s, err := separate(env, loop, pa)
 	if err != nil {
 		return nil, err
 	}
-
-	// Live-out roots: the locals live at the loop exits, plus every
-	// reference-typed parameter of the containing function — heap state
-	// reachable from a parameter escapes to the caller even when no local
-	// is live after the loop (a map loop at the end of a void function
-	// must still have its array/list state verified).
-	liveOut := effects.LiveAfter.Clone()
-	for _, p := range fn.Params {
-		if p.Type.IsRef() {
-			liveOut[p] = true
-		}
-	}
-	inst := &Instrumented{
-		Prog:    clone,
-		Fn:      fn,
-		LoopID:  loop.ID(),
-		Sep:     sep,
-		Payload: pay,
-		LiveOut: liveOut.Sorted(),
-		Carried: scalar.Classify(&scalar.Env{G: g, PD: pd, LV: lv}, loop),
-	}
-	if err := rewrite(inst, g, effects); err != nil {
+	pay, err := outline.Outline(s.Sep)
+	if err != nil {
 		return nil, err
 	}
+	inst := &Instrumented{
+		Prog:      clone,
+		Fn:        fn,
+		Separated: *s,
+		Payload:   pay,
+		Carried:   scalar.Classify(env, loop),
+	}
+	rewrite(inst)
 	// Only the rewritten function and the functions minted by outlining can
 	// be malformed here — the rest of the clone is a copy of an
 	// already-verified program, so re-verifying it per loop is pure waste.
@@ -128,7 +142,44 @@ func Loop(prog *ir.Program, fnName string, loopIndex int) (*Instrumented, error)
 	return inst, nil
 }
 
-func rewrite(inst *Instrumented, g *cfg.Graph, effects *dataflow.LoopEffects) error {
+func noFunc(fnName string) error { return fmt.Errorf("instrument: no function %q", fnName) }
+
+func outOfRange(fnName string, loops, loopIndex int) error {
+	return fmt.Errorf("instrument: %s has %d loops, index %d out of range", fnName, loops, loopIndex)
+}
+
+// separate runs iterator recognition on one loop of env's function, makes
+// the checks outlining and rewriting would otherwise fail later, and
+// collects the live-out roots.
+func separate(env *scalar.Env, loop *cfg.Loop, pa *pointer.Analysis) (*Separated, error) {
+	sep := iterrec.Separate(env.G, env.PD, loop, pa, env.LV)
+	if !sep.OK {
+		return nil, fmt.Errorf("instrument: %s: %s", loop.ID(), sep.Reason)
+	}
+	if err := outline.Check(sep); err != nil {
+		return nil, err
+	}
+	if len(loop.Exits) == 0 {
+		return nil, fmt.Errorf("instrument: loop %s has no exits", loop.ID())
+	}
+	// Live-out roots: the locals live at the loop exits, plus every
+	// reference-typed parameter of the containing function — heap state
+	// reachable from a parameter escapes to the caller even when no local
+	// is live after the loop (a map loop at the end of a void function
+	// must still have its array/list state verified).
+	liveOut := env.LV.AnalyzeLoop(loop).LiveAfter.Clone()
+	for _, p := range env.G.Fn.Params {
+		if p.Type.IsRef() {
+			liveOut[p] = true
+		}
+	}
+	return &Separated{LoopID: loop.ID(), Sep: sep, LiveOut: liveOut.Sorted()}, nil
+}
+
+// rewrite turns the clone's loop into the linearized loop, the permute
+// block, the driver loop and the verify block. separate has checked that
+// the loop has an exit.
+func rewrite(inst *Instrumented) {
 	fn := inst.Fn
 	sep := inst.Sep
 	loop := sep.Loop
@@ -247,22 +298,13 @@ func rewrite(inst *Instrumented, g *cfg.Graph, effects *dataflow.LoopEffects) er
 	}
 	verifyB.Append(&ir.Intrinsic{Name: RTVerify, Args: roots})
 	// Exit dispatch.
-	switch len(loop.Exits) {
-	case 0:
-		return fmt.Errorf("instrument: loop %s has no exits", inst.LoopID)
-	case 1:
-		verifyB.Term = &ir.Goto{Target: loop.Exits[0]}
-	default:
-		cur := verifyB
-		for i := 0; i < len(loop.Exits)-1; i++ {
-			cond := fn.NewTemp(types.BoolType)
-			cur.Append(&ir.BinOp{Dst: cond, Op: ir.Eq, X: ir.LocalOp(exitID), Y: ir.IntOp(int64(i))})
-			next := fn.NewBlock("dca.dispatch")
-			cur.Term = &ir.If{Cond: ir.LocalOp(cond), Then: loop.Exits[i], Else: next}
-			cur = next
-		}
-		cur.Term = &ir.Goto{Target: loop.Exits[len(loop.Exits)-1]}
+	cur := verifyB
+	for i := 0; i < len(loop.Exits)-1; i++ {
+		cond := fn.NewTemp(types.BoolType)
+		cur.Append(&ir.BinOp{Dst: cond, Op: ir.Eq, X: ir.LocalOp(exitID), Y: ir.IntOp(int64(i))})
+		next := fn.NewBlock("dca.dispatch")
+		cur.Term = &ir.If{Cond: ir.LocalOp(cond), Then: loop.Exits[i], Else: next}
+		cur = next
 	}
-	_ = g
-	return nil
+	cur.Term = &ir.Goto{Target: loop.Exits[len(loop.Exits)-1]}
 }

@@ -180,3 +180,33 @@ func main() {
 		t.Error("last-writer-wins loop must produce different snapshots")
 	}
 }
+
+// TestSeparateErrors: Separate rejects what Loop rejects, with the same
+// error: an unknown function, an out-of-range index, and a payload holding
+// an instruction outlining cannot copy (the driver loop of an instrumented
+// program, whose payload reads the runtime's iterator intrinsics).
+func TestSeparateErrors(t *testing.T) {
+	prog := compile(t, sumSrc)
+	inst, err := instrument.Loop(prog, "main", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		prog  *ir.Program
+		fn    string
+		index int
+		want  string
+	}{
+		{prog, "nosuch", 0, "no function"},
+		{prog, "main", 99, "out of range"},
+		{inst.Prog, "main", 1, "unsupported instruction"},
+	} {
+		_, serr := instrument.Separate(c.prog, c.fn, c.index)
+		_, lerr := instrument.Loop(c.prog, c.fn, c.index)
+		if serr == nil || !strings.Contains(serr.Error(), c.want) {
+			t.Errorf("Separate(%s, %d) = %v, want an error containing %q", c.fn, c.index, serr, c.want)
+		} else if lerr == nil || lerr.Error() != serr.Error() {
+			t.Errorf("Separate(%s, %d) = %v, Loop = %v", c.fn, c.index, serr, lerr)
+		}
+	}
+}

@@ -10,15 +10,15 @@ import (
 // Trace stages, in lifecycle order. Every analyzed loop emits a subset of
 // these: a static-stage outcome, optionally a verdict-cache lookup,
 // optionally a zero-iteration skip (stage prescreen) or a prover attempt,
-// then a golden run and zero or more schedule replays unless the reference
-// run decided the loop, and always a final verdict. The whole-program
-// reference execution emits one program-level event (empty LoopID) per
-// analysis.
+// then the instrumented-program build, a golden run and zero or more
+// schedule replays unless the reference run decided the loop, and always a
+// final verdict. The whole-program reference execution emits one
+// program-level event (empty LoopID) per analysis.
 const (
 	// StageReference: the uninstrumented whole-program reference execution.
 	StageReference = "reference"
-	// StageStatic: selection + separation + instrumentation outcome for one
-	// loop ("ok", or the short-circuit verdict name).
+	// StageStatic: selection + separation outcome for one loop ("ok", or
+	// the short-circuit verdict name).
 	StageStatic = "static"
 	// StagePrescreen: the reference run observed zero iterations of this
 	// loop, so its dynamic stage was skipped and it reports NotExecuted
@@ -36,6 +36,11 @@ const (
 	// dynamic stage was skipped, "miss" (Reason lists the per-argument
 	// obstructions) when it fell through to the dynamic stage.
 	StageProve = "prove"
+	// StageInstrument: building the instrumented program (outlining and
+	// rewriting) of a loop on its way into the golden run — outcome "ok",
+	// or "not-separable" when the build failed. DurationMS is the build
+	// time. Loops decided earlier build nothing and emit no such event.
+	StageInstrument = "instrument"
 	// StageGolden: the instrumented golden run (outcome "ok" or "trap").
 	StageGolden = "golden"
 	// StageReplay: one permuted schedule replay (outcome "ok" or "trap").

@@ -81,24 +81,7 @@ func Outline(sep *iterrec.Separation) (*Result, error) {
 	entry := out.NewBlock("entry")
 	epilogue := out.NewBlock("epilogue")
 
-	// Region blocks: B0, every payload-side block, and the continuation
-	// block when its payload run ends mid-block (mixed block with an
-	// iterator suffix).
-	regionBlocks := []*ir.Block{sep.B0}
-	seen := map[*ir.Block]bool{sep.B0: true}
-	for b := range sep.PayloadSide {
-		if !seen[b] {
-			seen[b] = true
-			regionBlocks = append(regionBlocks, b)
-		}
-	}
-	if sep.Cont.Index > 0 && !seen[sep.Cont.Block] {
-		seen[sep.Cont.Block] = true
-		regionBlocks = append(regionBlocks, sep.Cont.Block)
-	}
-	sort.Slice(regionBlocks[1:], func(i, j int) bool {
-		return regionBlocks[i+1].Index < regionBlocks[j+1].Index
-	})
+	regionBlocks := region(sep)
 	bmap := map[*ir.Block]*ir.Block{}
 	for _, b := range regionBlocks {
 		bmap[b] = out.NewBlock("p_" + b.Name)
@@ -144,7 +127,7 @@ func Outline(sep *iterrec.Separation) (*Result, error) {
 			case *ir.Call:
 				dst.Append(&ir.Call{Dst: loc(i.Dst), Callee: i.Callee, Builtin: i.Builtin, Args: ops(i.Args)})
 			default:
-				return fmt.Errorf("outline: unsupported instruction %q in payload", in)
+				return unsupported(in)
 			}
 		}
 		return nil
@@ -172,17 +155,7 @@ func Outline(sep *iterrec.Separation) (*Result, error) {
 
 	for _, b := range regionBlocks {
 		nb := bmap[b]
-		lo, hi := 0, len(b.Instrs)
-		if r, ok := sep.Runs[b]; ok {
-			lo, hi = r.Lo, r.Hi
-		}
-		if b == sep.B0 {
-			lo = sep.P0
-		}
-		if b == sep.Cont.Block && sep.Cont.Index > 0 {
-			hi = sep.Cont.Index
-		}
-		if err := cloneInto(nb, b.Instrs[lo:hi]); err != nil {
+		if err := cloneInto(nb, regionInstrs(sep, b)); err != nil {
 			return nil, err
 		}
 		if b == sep.Cont.Block && sep.Cont.Index > 0 {
@@ -221,4 +194,61 @@ func Outline(sep *iterrec.Separation) (*Result, error) {
 		return nil, fmt.Errorf("outline: generated payload is malformed: %w", err)
 	}
 	return res, nil
+}
+
+// Check reports the error Outline would return for a payload instruction
+// it cannot copy, without building anything: the separation alone decides
+// whether the loop can be outlined.
+func Check(sep *iterrec.Separation) error {
+	for _, b := range region(sep) {
+		for _, in := range regionInstrs(sep, b) {
+			switch in.(type) {
+			case *ir.BinOp, *ir.UnOp, *ir.Mov, *ir.Load, *ir.Store, *ir.Alloc, *ir.Call: // what cloneInto copies
+			default:
+				return unsupported(in)
+			}
+		}
+	}
+	return nil
+}
+
+func unsupported(in ir.Instr) error {
+	return fmt.Errorf("outline: unsupported instruction %q in payload", in)
+}
+
+// region returns the blocks the outlined payload copies, in copy order:
+// B0, every payload-side block, and the continuation block when its payload
+// run ends mid-block (mixed block with an iterator suffix), the latter two
+// by block index.
+func region(sep *iterrec.Separation) []*ir.Block {
+	blocks := []*ir.Block{sep.B0}
+	seen := map[*ir.Block]bool{sep.B0: true}
+	for b := range sep.PayloadSide {
+		if !seen[b] {
+			seen[b] = true
+			blocks = append(blocks, b)
+		}
+	}
+	if sep.Cont.Index > 0 && !seen[sep.Cont.Block] {
+		blocks = append(blocks, sep.Cont.Block)
+	}
+	sort.Slice(blocks[1:], func(i, j int) bool {
+		return blocks[i+1].Index < blocks[j+1].Index
+	})
+	return blocks
+}
+
+// regionInstrs returns the payload instructions of one region block.
+func regionInstrs(sep *iterrec.Separation, b *ir.Block) []ir.Instr {
+	lo, hi := 0, len(b.Instrs)
+	if r, ok := sep.Runs[b]; ok {
+		lo, hi = r.Lo, r.Hi
+	}
+	if b == sep.B0 {
+		lo = sep.P0
+	}
+	if b == sep.Cont.Block && sep.Cont.Index > 0 {
+		hi = sep.Cont.Index
+	}
+	return b.Instrs[lo:hi]
 }

@@ -1,6 +1,6 @@
 // Package prove implements the static commutativity prover: a stage that
-// runs after the static stage (selection/separation/instrumentation) and
-// before the dynamic stage, attempting to decide commutativity symbolically
+// runs after the static stage (selection and separation) and before the
+// dynamic stage, attempting to decide commutativity symbolically
 // so that provable loops skip every schedule replay (the single golden run
 // is kept as the coverage witness — a proof quantifies over iteration
 // orders but cannot tell whether the workload exercises the loop at all).
