@@ -316,10 +316,19 @@ func cmdAnalyze(args []string) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	start := time.Now()
-	rep, err := engine.Analyze(ctx, prog, eopt)
+	// The program executes uninstrumented once: DCA's reference run also
+	// builds the dependence profile -baselines reads.
+	var prof *depprof.Builder
+	var tracer interp.Tracer
+	if *baselines {
+		prof = depprof.NewBuilder(prog)
+		tracer = prof
+	}
+	ref, err := core.RunReference(ctx, prog, opts, tracer)
 	if err != nil {
 		return err
 	}
+	rep := engine.AnalyzeReference(ctx, prog, ref, eopt)
 	if jnl != nil {
 		fmt.Fprintf(os.Stderr, "dca: journal: resumed %d loops, appended %d records\n",
 			rep.ResumedLoops(), jnl.Appended())
@@ -361,20 +370,18 @@ func cmdAnalyze(args []string) error {
 	if !*baselines {
 		return nil
 	}
-	// One traced execution serves both dependence profilers.
-	prof, err := depprof.Trace(prog, 0)
-	if err != nil {
-		return err
-	}
-	dp := depprof.AnalyzeProfile(prog, prof, depprof.DefaultPolicy())
+	// One dependence profile serves both dependence profilers.
+	profile := prof.Profile(ref.Steps, false)
+	dp := depprof.AnalyzeProfile(prog, profile, depprof.DefaultPolicy())
 	fmt.Println("\n== Dependence Profiling ==")
 	fmt.Print(dp)
-	dpp := discopop.AnalyzeProfile(prog, prof)
+	dpp := discopop.AnalyzeProfile(prog, profile)
 	fmt.Println("\n== DiscoPoP ==")
 	fmt.Print(dpp)
 	fmt.Println("\n== Idioms ==")
-	printStatic(prog, func(fn string, idx int) (bool, []string) {
-		v := idioms.Analyze(prog).Verdict(fn, idx)
+	id := idioms.Analyze(prog)
+	printStatic(rep, func(fn string, idx int) (bool, []string) {
+		v := id.Verdict(fn, idx)
 		if v == nil {
 			return false, nil
 		}
@@ -384,7 +391,7 @@ func cmdAnalyze(args []string) error {
 	fmt.Print(polly.Analyze(prog))
 	fmt.Println("\n== ICC ==")
 	ic := icc.Analyze(prog)
-	printStatic(prog, func(fn string, idx int) (bool, []string) {
+	printStatic(rep, func(fn string, idx int) (bool, []string) {
 		v := ic.Verdict(fn, idx)
 		if v == nil {
 			return false, nil
@@ -394,11 +401,8 @@ func cmdAnalyze(args []string) error {
 	return nil
 }
 
-func printStatic(prog *ir.Program, verdict func(fn string, idx int) (bool, []string)) {
-	rep, err := core.Analyze(prog, core.Options{Schedules: []dcart.Schedule{dcart.Reverse{}}})
-	if err != nil {
-		return
-	}
+// printStatic prints a static detector's verdict on every loop of rep.
+func printStatic(rep *core.Report, verdict func(fn string, idx int) (bool, []string)) {
 	for _, l := range rep.Loops {
 		ok, reasons := verdict(l.Fn, l.Index)
 		status := "serial"

@@ -1,10 +1,14 @@
 package bench_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"dca/internal/bench"
+	"dca/internal/core"
+	"dca/internal/depprof"
+	"dca/internal/obs"
 	"dca/internal/workloads/npb"
 	"dca/internal/workloads/plds"
 )
@@ -108,5 +112,35 @@ func TestGeoMean(t *testing.T) {
 	}
 	if g := bench.GeoMean([]float64{1, 0}); g != 0 {
 		t.Errorf("GeoMean with zero = %v", g)
+	}
+}
+
+// TestNPBOneReferenceRun: a proxy executes uninstrumented once — DCA's
+// reference run also builds the dependence profile — and that profile is
+// the one a standalone trace builds.
+func TestNPBOneReferenceRun(t *testing.T) {
+	spec := npb.SpecByName("IS")
+	var sink obs.Collector
+	r, err := bench.RunNPBCore(spec, nil, core.Options{Trace: &sink})
+	if err != nil {
+		t.Fatal(err)
+	}
+	refs := 0
+	for _, ev := range sink.Events() {
+		if ev.Stage == obs.StageReference {
+			refs++
+		}
+	}
+	if refs != 1 {
+		t.Errorf("%d reference runs, want 1", refs)
+	}
+	prof, err := depprof.Trace(r.Prog, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if prof.Steps != r.Prof.Steps || !reflect.DeepEqual(prof.LoopSteps, r.Prof.LoopSteps) ||
+		!reflect.DeepEqual(prof.Contains, r.Prof.Contains) ||
+		depprof.AnalyzeProfile(r.Prog, prof, depprof.DefaultPolicy()).String() != r.DP.String() {
+		t.Error("the reference run's profile differs from a standalone trace")
 	}
 }

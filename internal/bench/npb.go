@@ -73,11 +73,11 @@ func RunNPBEngine(spec *npb.Spec, pool *engine.Pool) (*NPBResult, error) {
 }
 
 // RunNPBOptions runs all six analyzers over the generated benchmark. The
-// dependence profilers (depprof, discopop) and the machine model share ONE
-// traced execution — the trace is policy-independent — instead of tracing
-// the program once per baseline. DCA runs on the concurrent engine, its
-// replays drawn from pool (nil = sequential) and its verdicts served from
-// vc (nil = always computed).
+// program executes uninstrumented once: DCA's reference run also builds
+// the dependence profile the dependence profilers (depprof, discopop) and
+// the machine model share — the profile is policy-independent. DCA runs on
+// the concurrent engine, its replays drawn from pool (nil = sequential)
+// and its verdicts served from vc (nil = always computed).
 func RunNPBOptions(spec *npb.Spec, pool *engine.Pool, vc core.VerdictCache) (*NPBResult, error) {
 	return RunNPBConfig(spec, pool, vc, false)
 }
@@ -96,23 +96,21 @@ func RunNPBCore(spec *npb.Spec, pool *engine.Pool, opt core.Options) (*NPBResult
 		return nil, err
 	}
 	r := &NPBResult{Spec: spec, Prog: prog}
-	prof, err := depprof.Trace(prog, 0)
-	if err != nil {
-		return nil, fmt.Errorf("%s: trace: %w", spec.Name, err)
-	}
-	r.Prof = prof
-	r.DP = depprof.AnalyzeProfile(prog, prof, depprof.DefaultPolicy())
-	r.DiP = discopop.AnalyzeProfile(prog, prof)
-	r.ID = idioms.Analyze(prog)
-	r.PO = polly.Analyze(prog)
-	r.IC = icc.Analyze(prog)
 	if len(opt.Schedules) == 0 {
 		opt.Schedules = npbSchedules()
 	}
-	eopt := engine.Options{Core: opt, Workers: 1, Pool: pool}
-	if r.DCA, err = engine.Analyze(context.Background(), prog, eopt); err != nil {
+	builder := depprof.NewBuilder(prog)
+	ref, err := core.RunReference(nil, prog, opt, builder)
+	if err != nil {
 		return nil, fmt.Errorf("%s: dca: %w", spec.Name, err)
 	}
+	r.Prof = builder.Profile(ref.Steps, false)
+	r.DP = depprof.AnalyzeProfile(prog, r.Prof, depprof.DefaultPolicy())
+	r.DiP = discopop.AnalyzeProfile(prog, r.Prof)
+	r.ID = idioms.Analyze(prog)
+	r.PO = polly.Analyze(prog)
+	r.IC = icc.Analyze(prog)
+	r.DCA = engine.AnalyzeReference(context.Background(), prog, ref, engine.Options{Core: opt, Workers: 1, Pool: pool})
 	r.Truth = truthMap(spec, prog)
 	r.LoopKeys() // warm the cache before results are shared across goroutines
 	return r, nil

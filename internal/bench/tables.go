@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 
+	"dca/internal/cfg"
 	"dca/internal/core"
 	"dca/internal/dcart"
 	"dca/internal/depprof"
@@ -16,6 +17,7 @@ import (
 	"dca/internal/idioms"
 	"dca/internal/machine"
 	"dca/internal/polly"
+	"dca/internal/purity"
 	"dca/internal/workloads/npb"
 	"dca/internal/workloads/plds"
 )
@@ -325,27 +327,38 @@ func RunPLDS(p *plds.Program) (*PLDSResult, error) {
 }
 
 // RunPLDSCore analyzes one PLDS workload end to end with DCA configured by
-// opt; its schedule set is always the harness's own.
+// opt; its schedule set is always the harness's own. The program executes
+// uninstrumented once: that reference run builds the dependence profile
+// and serves the key loop's analysis and Figure 5's whole-program one.
 func RunPLDSCore(p *plds.Program, opt core.Options) (*PLDSResult, error) {
 	prog, err := p.Compile()
 	if err != nil {
 		return nil, err
 	}
+	fn := prog.Func(p.KeyFn)
+	if fn == nil {
+		return nil, fmt.Errorf("%s: no function %q", p.Name, p.KeyFn)
+	}
+	_, loops := cfg.LoopsOf(fn)
+	if p.KeyLoop < 0 || p.KeyLoop >= len(loops) {
+		return nil, fmt.Errorf("%s: %s has %d loops", p.Name, p.KeyFn, len(loops))
+	}
 	res := &PLDSResult{Program: p}
-	keyOpt := opt
-	keyOpt.Schedules = []dcart.Schedule{dcart.Reverse{}, dcart.Random{Seed: 1}, dcart.Random{Seed: 2}}
-	dcaRes, err := core.AnalyzeLoop(prog, p.KeyFn, p.KeyLoop, keyOpt)
+	builder := depprof.NewBuilder(prog)
+	ref, err := core.RunReference(nil, prog, opt, builder)
 	if err != nil {
 		return nil, fmt.Errorf("%s: dca: %w", p.Name, err)
 	}
+	prof := builder.Profile(ref.Steps, false)
+
+	keyOpt := opt
+	keyOpt.Schedules = []dcart.Schedule{dcart.Reverse{}, dcart.Random{Seed: 1}, dcart.Random{Seed: 2}}
+	loop := loops[p.KeyLoop]
+	dcaRes := &core.LoopResult{Fn: fn.Name, Index: loop.Index, ID: loop.ID(), Pos: loop.Header.Pos, Depth: loop.Depth}
+	core.AnalyzeLoopInto(context.Background(), prog, fn, loop, purity.Analyze(prog), keyOpt.Normalized(), ref, dcaRes, nil)
 	res.DCAFound = dcaRes.Verdict.IsParallelizable()
 	res.DCAWhy = dcaRes.Reason
 
-	// One traced execution serves both dependence profilers.
-	prof, err := depprof.Trace(prog, 0)
-	if err != nil {
-		return nil, err
-	}
 	dp := depprof.AnalyzeProfile(prog, prof, depprof.DefaultPolicy())
 	if v := dp.Verdict(p.KeyFn, p.KeyLoop); v != nil && v.Parallel {
 		res.BaselinesDetecting = append(res.BaselinesDetecting, "DepProf")
@@ -372,10 +385,7 @@ func RunPLDSCore(p *plds.Program, opt core.Options) (*PLDSResult, error) {
 		// pick the parallel regions (as for the NPB suite).
 		fullOpt := opt
 		fullOpt.Schedules = []dcart.Schedule{dcart.Reverse{}, dcart.Random{Seed: 1}}
-		full, err := engine.Analyze(context.Background(), prog, engine.Options{Core: fullOpt})
-		if err != nil {
-			return nil, fmt.Errorf("%s: dca full: %w", p.Name, err)
-		}
+		full := engine.AnalyzeReference(context.Background(), prog, ref, engine.Options{Core: fullOpt})
 		var keys []depprof.LoopKey
 		for _, lr := range full.Loops {
 			if lr.Verdict.IsParallelizable() {

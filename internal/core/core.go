@@ -401,7 +401,7 @@ func (o *Options) InjectionEnabled() bool {
 func Analyze(prog *ir.Program, opt Options) (*Report, error) {
 	opt.normalize()
 	rep := &Report{Prog: prog}
-	ref, err := RunReference(nil, prog, opt)
+	ref, err := RunReference(nil, prog, opt, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -442,7 +442,7 @@ func AnalyzeLoop(prog *ir.Program, fnName string, loopIndex int, opt Options) (*
 		return nil, fmt.Errorf("core: %s has %d loops", fnName, len(loops))
 	}
 	loop := loops[loopIndex]
-	ref, err := RunReference(nil, prog, opt)
+	ref, err := RunReference(nil, prog, opt, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -458,20 +458,26 @@ func AnalyzeLoop(prog *ir.Program, fnName string, loopIndex int, opt Options) (*
 // decides loops from this evidence without any instrumented execution.
 type Reference struct {
 	// Out is the program's output.
-	Out   string
+	Out string
+	// Steps is the number of instructions the run retired.
+	Steps int64
 	loops *interp.LoopRecorder
 }
 
 // RunReference runs prog once, uninstrumented, under opt's budgets and
-// executor, recording every loop at once unless opt.NoFootprint is set. It
-// emits one reference trace event, ok or trap. A trap is fatal for the
-// whole analysis — with no reference behaviour there is nothing to compare
-// any loop's runs against — and so is a cancelled ctx (nil means
-// Background), which the error then wraps.
-func RunReference(ctx context.Context, prog *ir.Program, opt Options) (*Reference, error) {
+// executor, recording every loop at once unless opt.NoFootprint is set.
+// tr, when non-nil, observes the same run as its Tracer: the dependence
+// profile builder (depprof.NewBuilder) rides along, so a program executes
+// uninstrumented once, on the VM like any other run. It emits one
+// reference trace event, ok or trap. A trap is fatal for the whole
+// analysis — with no reference behaviour there is nothing to compare any
+// loop's runs against — and so is a cancelled ctx (nil means Background),
+// which the error then wraps.
+func RunReference(ctx context.Context, prog *ir.Program, opt Options, tr interp.Tracer) (*Reference, error) {
+	opt.normalize()
 	start := time.Now()
 	var out strings.Builder
-	cfg := interp.Config{Out: &out, NoVM: opt.NoVM}
+	cfg := interp.Config{Out: &out, NoVM: opt.NoVM, Tracer: tr}
 	if !opt.NoFootprint {
 		cfg.Loops = interp.NewLoopRecorder(prog)
 	}
@@ -487,7 +493,7 @@ func RunReference(ctx context.Context, prog *ir.Program, opt Options) (*Referenc
 		return nil, fmt.Errorf("core: reference execution failed (%s): %w", oc.Trap.Kind, oc.Trap)
 	}
 	opt.emit(ev)
-	return &Reference{Out: out.String(), loops: cfg.Loops}, nil
+	return &Reference{Out: out.String(), Steps: oc.Result.Steps, loops: cfg.Loops}, nil
 }
 
 // observed returns the reference run's evidence for one loop, counting its

@@ -30,7 +30,7 @@ func TestReferenceCountsMatchGoldenRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := Options{}.Normalized()
-	ref, err := RunReference(nil, prog, opt)
+	ref, err := RunReference(nil, prog, opt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -345,3 +345,23 @@ func main() {
 		t.Errorf("invocations=%d iterations=%d, want 1 and 65 (header entries)", lp.Invocations, lp.Iterations)
 	}
 }
+
+// TestReductionGroupsAreProgramWide: reduction groups are numbered per
+// function, so inc's h[k] += 1 and dbl's h[k] *= 2 both carry group 1.
+// Merged into one table, the two look like one op= reduction and the loop
+// alternating them reads as parallel; the reverse schedule changes its
+// output, so it carries a true dependence.
+func TestReductionGroupsAreProgramWide(t *testing.T) {
+	rep := analyze(t, `
+func inc(h []int, k int) { h[k] = h[k] + 1; }
+func dbl(h []int, k int) { h[k] = h[k] * 2; }
+func main() {
+	var h []int = new [4]int;
+	for (var i int = 0; i < 8; i++) { if (i % 2 == 0) { inc(h, 0); } else { dbl(h, 0); } }
+	print(h[0]);
+}`)
+	expectParallel(t, rep, "main", 0, false)
+	if v := rep.Verdict("main", 0); len(v.Reasons) != 1 || v.Reasons[0] != "loop-carried true dependence on 1 address(es)" {
+		t.Errorf("reasons = %q, want the carried true dependence on h[0]", v.Reasons)
+	}
+}

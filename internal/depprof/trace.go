@@ -10,51 +10,28 @@
 // iterator of a PLDS loop (ptr = ptr->next) is a loop-carried scalar
 // dependence that is neither induction nor reduction, so dependence
 // profiling must reject every PLDS traversal that DCA accepts.
+//
+// The profile is built by a Builder attached as the Tracer of one
+// uninstrumented execution, on either executor. The analysis pipeline
+// attaches it to the reference run it makes anyway (core.RunReference),
+// so a program executes uninstrumented once; Trace is the standalone form.
 package depprof
 
 import (
-	"errors"
 	"fmt"
+	"math/bits"
 
 	"dca/internal/affine"
 	"dca/internal/cfg"
 	"dca/internal/interp"
 	"dca/internal/ir"
+	"dca/internal/sandbox"
 )
 
 // LoopKey identifies a loop by function name and loop index.
 type LoopKey struct {
 	Fn    string
 	Index int
-}
-
-// Addr is a dynamic memory address: heap object identity plus element.
-type Addr struct {
-	Obj int64
-	Idx int
-}
-
-// addrState tracks the access history of one address within one loop
-// invocation.
-type addrState struct {
-	lastWriteIter int64
-	lastReadIter  int64
-	curIter       int64
-	writtenInCur  bool
-	everReadFirst bool
-	// group tracking: -1 unset, -2 mixed, else reduction group id
-	group int
-	// carried dependence flags for this address
-	raw, war, waw bool
-}
-
-// invocation is one dynamic activation of a loop.
-type invocation struct {
-	loop  *cfg.Loop
-	key   LoopKey
-	iter  int64
-	addrs map[Addr]*addrState
-	lp    *LoopProfile
 }
 
 // LoopProfile aggregates dynamic facts about one loop across invocations.
@@ -93,250 +70,442 @@ type Profile struct {
 	Truncated bool
 }
 
-// tracer implements interp.Tracer.
-type tracer struct {
-	prof *Profile
-	// static maps, precomputed over all functions
-	loopsOf map[*ir.Func][]*cfg.Loop
-	chainOf map[*ir.Block][]*cfg.Loop // outermost..innermost loops containing block
-	groupOf map[ir.Instr]int          // reduction group ids
-	frames  []*frameCtx
-	active  []*invocation // global invocation stack (across frames)
-}
-
-type frameCtx struct {
-	fn *ir.Func
-	// how many invocations this frame pushed
-	pushed int
-}
-
-// Trace executes the program and collects the dependence profile.
+// Trace executes the program from main under a step budget (0 means the
+// executor's default) and returns its dependence profile. It runs on the
+// bytecode VM unless the tree-walker is forced process-wide (-no-vm).
 func Trace(prog *ir.Program, maxSteps int64) (*Profile, error) {
-	tr := &tracer{
-		prof: &Profile{
-			Loops:     map[LoopKey]*LoopProfile{},
-			LoopSteps: map[LoopKey]int64{},
-			Contains:  map[LoopKey]map[LoopKey]bool{},
-		},
-		chainOf: map[*ir.Block][]*cfg.Loop{},
-		groupOf: map[ir.Instr]int{},
+	b := NewBuilder(prog)
+	oc := sandbox.Run(nil, prog, interp.Config{Tracer: b}, sandbox.Limits{MaxSteps: maxSteps}, nil)
+	switch {
+	case oc.OK():
+		return b.Profile(oc.Result.Steps, false), nil
+	case oc.Trap.Kind == sandbox.Budget:
+		// Budget exhaustion is an analysis-resource limit, not a program
+		// fault: keep the partial profile and mark it truncated.
+		return b.Profile(oc.Trap.Steps, true), nil
+	case oc.Trap.Kind == sandbox.Fault:
+		return nil, fmt.Errorf("depprof: traced program faulted: %w", oc.Trap.Err)
+	default:
+		return nil, fmt.Errorf("depprof: traced run failed: %w", oc.Trap)
 	}
+}
+
+// Builder builds the dependence profile of one execution: attach it as
+// the run's interp.Config.Tracer, then call Profile once the run is over.
+// A Builder serves exactly one run and is not safe for concurrent use.
+//
+// Everything the hot callbacks touch is dense. Loops have program-wide ids
+// and each block position its outermost-first chain of loop ids. Each
+// active loop invocation owns the cell table at its depth of the active
+// stack; the table is reset by an epoch bump and lists the slots its
+// invocation touched, so closing an invocation costs only those cells. A
+// loop's coverage is the difference of a running block-cost counter
+// between its invocations' opening and closing. The exported maps are
+// filled once, by Profile.
+type Builder struct {
+	fns   map[*ir.Func]*fnTable
+	loops []loopInfo
+	lps   []*LoopProfile // by loop id
+	steps []int64        // coverage by loop id
+	// contains[a] is a bitset over loop ids, allocated on a's first
+	// observed descendant.
+	contains [][]uint64
+
+	frames []frameState
+	active []invocation // across frames, innermost last
+	tabs   []cellTable  // tabs[d] holds active[d]'s cells
+	clock  int64        // block costs entered so far
+}
+
+// fnTable is one function's static share of the builder, by block
+// position in Fn.Blocks.
+type fnTable struct {
+	fn     *ir.Func
+	chains [][]int32      // loop ids containing the block, outermost first; nil without loops
+	groups [][]instrGroup // the block's reduction-group accesses; nil without any
+}
+
+type instrGroup struct {
+	in    ir.Instr
+	group int32
+}
+
+type loopInfo struct {
+	key    LoopKey
+	header int32 // header block position
+	single bool  // one-block loop: a header entry is a body execution
+}
+
+type frameState struct {
+	tab    *fnTable
+	pushed int          // invocations this frame opened that are still active
+	groups []instrGroup // reduction-group accesses of the current block
+}
+
+type invocation struct {
+	loop  int32
+	iter  int64
+	start int64 // clock at opening
+}
+
+// NewBuilder prepares a builder for every loop of prog. Reduction groups
+// (affine.MemReductionGroups) are numbered program-wide: the per-function
+// numbers all start at 1, and two functions' groups must not merge.
+func NewBuilder(prog *ir.Program) *Builder {
+	b := &Builder{fns: make(map[*ir.Func]*fnTable, len(prog.Funcs))}
+	groupBase := int32(0)
 	for _, fn := range prog.Funcs {
+		t := &fnTable{fn: fn}
+		b.fns[fn] = t
 		_, loops := cfg.LoopsOf(fn)
+		base := int32(len(b.loops))
 		for _, l := range loops {
-			tr.prof.Loops[LoopKey{fn.Name, l.Index}] = &LoopProfile{
-				Key:  LoopKey{fn.Name, l.Index},
-				Loop: l,
-			}
+			key := LoopKey{fn.Name, l.Index}
+			b.loops = append(b.loops, loopInfo{key: key, header: int32(fn.Position(l.Header)), single: len(l.Blocks) == 1})
+			b.lps = append(b.lps, &LoopProfile{Key: key, Loop: l})
 		}
-		for _, b := range fn.Blocks {
-			var chain []*cfg.Loop
-			for _, l := range loops {
-				if l.Blocks[b] {
-					chain = append(chain, l)
+		if len(loops) > 0 {
+			t.chains = make([][]int32, len(fn.Blocks))
+			for p, blk := range fn.Blocks {
+				var chain []*cfg.Loop
+				for _, l := range loops {
+					if l.Blocks[blk] {
+						chain = append(chain, l)
+					}
+				}
+				// Loops containing one block are nested: depths are distinct.
+				for i := 1; i < len(chain); i++ {
+					for j := i; j > 0 && chain[j].Depth < chain[j-1].Depth; j-- {
+						chain[j], chain[j-1] = chain[j-1], chain[j]
+					}
+				}
+				for _, l := range chain {
+					t.chains[p] = append(t.chains[p], base+int32(l.Index))
 				}
 			}
-			// order outermost first (by depth)
-			for i := 0; i < len(chain); i++ {
-				for j := i + 1; j < len(chain); j++ {
-					if chain[j].Depth < chain[i].Depth {
-						chain[i], chain[j] = chain[j], chain[i]
+		}
+		groups := affine.MemReductionGroups(fn)
+		maxGroup := int32(0)
+		for _, g := range groups {
+			maxGroup = max(maxGroup, int32(g))
+		}
+		if len(groups) > 0 {
+			t.groups = make([][]instrGroup, len(fn.Blocks))
+			for p, blk := range fn.Blocks {
+				for _, in := range blk.Instrs {
+					if g, ok := groups[in]; ok {
+						t.groups[p] = append(t.groups[p], instrGroup{in: in, group: groupBase + int32(g)})
 					}
 				}
 			}
-			tr.chainOf[b] = chain
 		}
-		for in, g := range affine.MemReductionGroups(fn) {
-			tr.groupOf[in] = g
+		groupBase += maxGroup
+	}
+	b.steps = make([]int64, len(b.loops))
+	b.contains = make([][]uint64, len(b.loops))
+	return b
+}
+
+// Profile closes every invocation still open (the program ended inside
+// loops) and returns the profile. steps is the run's retired instruction
+// count; truncated marks a run its step budget cut short.
+func (b *Builder) Profile(steps int64, truncated bool) *Profile {
+	for len(b.active) > 0 {
+		b.close()
+	}
+	prof := &Profile{
+		Loops:     make(map[LoopKey]*LoopProfile, len(b.loops)),
+		Steps:     steps,
+		LoopSteps: map[LoopKey]int64{},
+		Contains:  map[LoopKey]map[LoopKey]bool{},
+		Truncated: truncated,
+	}
+	for id, l := range b.loops {
+		prof.Loops[l.key] = b.lps[id]
+		if b.steps[id] > 0 {
+			prof.LoopSteps[l.key] = b.steps[id]
+		}
+		if row := b.contains[id]; row != nil {
+			m := map[LoopKey]bool{}
+			for w, word := range row {
+				for ; word != 0; word &= word - 1 {
+					m[b.loops[w*64+bits.TrailingZeros64(word)].key] = true
+				}
+			}
+			prof.Contains[l.key] = m
 		}
 	}
-	res, err := interp.Run(prog, interp.Config{Tracer: tr, MaxSteps: maxSteps})
-	switch {
-	case err == nil:
-		tr.prof.Steps = res.Steps
-	case errors.Is(err, interp.ErrBudget):
-		// Budget exhaustion is an analysis-resource limit, not a program
-		// fault: keep the partial profile and mark it truncated.
-		tr.prof.Truncated = true
-		var be *interp.BudgetError
-		if errors.As(err, &be) {
-			tr.prof.Steps = be.Steps
-		}
-	default:
-		return nil, fmt.Errorf("depprof: traced program faulted: %w", err)
-	}
-	// Close any invocations left open (program ended inside loops, or the
-	// trace was cut short by the budget).
-	for len(tr.active) > 0 {
-		tr.closeInvocation(tr.active[len(tr.active)-1])
-		tr.active = tr.active[:len(tr.active)-1]
-	}
-	return tr.prof, nil
+	return prof
 }
 
 // ---------------------------------------------------------------- Tracer
 
-func (tr *tracer) OnCall(fr *interp.Frame) {
-	tr.frames = append(tr.frames, &frameCtx{fn: fr.Fn})
+func (b *Builder) OnCall(fr *interp.Frame) {
+	b.frames = append(b.frames, frameState{tab: b.fns[fr.Fn]})
 }
 
-func (tr *tracer) OnRet(_ *interp.Frame) {
-	fc := tr.frames[len(tr.frames)-1]
-	for i := 0; i < fc.pushed; i++ {
-		tr.closeInvocation(tr.active[len(tr.active)-1])
-		tr.active = tr.active[:len(tr.active)-1]
+func (b *Builder) OnRet(_ *interp.Frame) {
+	f := &b.frames[len(b.frames)-1]
+	for ; f.pushed > 0; f.pushed-- {
+		b.close()
 	}
-	tr.frames = tr.frames[:len(tr.frames)-1]
+	b.frames = b.frames[:len(b.frames)-1]
 }
 
-func (tr *tracer) OnBlock(fr *interp.Frame, b *ir.Block) {
-	fc := tr.frames[len(tr.frames)-1]
-	chain := tr.chainOf[b]
-	// Pop invocations of this frame whose loop no longer contains b.
-	for fc.pushed > 0 {
-		top := tr.active[len(tr.active)-1]
-		if top.loop.Blocks[b] {
-			break
+func (b *Builder) OnBlock(_ *interp.Frame, blk *ir.Block) {
+	f := &b.frames[len(b.frames)-1]
+	if t := f.tab; t != nil && (t.chains != nil || t.groups != nil) {
+		var chain []int32
+		f.groups = nil
+		p := int32(t.fn.Position(blk))
+		if p >= 0 {
+			if t.chains != nil {
+				chain = t.chains[p]
+			}
+			if t.groups != nil {
+				f.groups = t.groups[p]
+			}
 		}
-		tr.closeInvocation(top)
-		tr.active = tr.active[:len(tr.active)-1]
-		fc.pushed--
-	}
-	// Push newly-entered loops (outermost first).
-	for _, l := range chain {
-		if fc.pushed > 0 {
-			// already active?
-			found := false
-			for i := len(tr.active) - fc.pushed; i < len(tr.active); i++ {
-				if tr.active[i].loop == l {
-					found = true
-					break
+		// The frame's active invocations are an outermost-first prefix of
+		// the previous block's chain; the ones that still contain blk are
+		// exactly its common prefix with blk's chain.
+		base := len(b.active) - f.pushed
+		keep := 0
+		for keep < f.pushed && keep < len(chain) && b.active[base+keep].loop == chain[keep] {
+			keep++
+		}
+		for ; f.pushed > keep; f.pushed-- {
+			b.close()
+		}
+		for _, l := range chain[keep:] {
+			b.open(l)
+			f.pushed++
+		}
+		// A header entry starts an invocation's next iteration; any other
+		// block of the loop shows its body executed.
+		for i := base; i < len(b.active); i++ {
+			inv := &b.active[i]
+			lp := b.lps[inv.loop]
+			if b.loops[inv.loop].header == p {
+				inv.iter++
+				lp.Iterations++
+				if b.loops[inv.loop].single {
+					lp.BodyExecuted = true
 				}
-			}
-			if found {
-				continue
+			} else {
+				lp.BodyExecuted = true
 			}
 		}
-		key := LoopKey{fr.Fn.Name, l.Index}
-		inv := &invocation{loop: l, key: key, addrs: map[Addr]*addrState{}, lp: tr.prof.Loops[key]}
-		inv.lp.Invocations++
-		for _, anc := range tr.active {
-			m := tr.prof.Contains[anc.key]
-			if m == nil {
-				m = map[LoopKey]bool{}
-				tr.prof.Contains[anc.key] = m
-			}
-			m[key] = true
-		}
-		tr.active = append(tr.active, inv)
-		fc.pushed++
 	}
-	// Header entry = new iteration for that loop's invocation; any other
-	// loop block proves the body executed.
-	for i := len(tr.active) - fc.pushed; i >= 0 && i < len(tr.active); i++ {
-		inv := tr.active[i]
-		if inv.loop.Header == b {
-			inv.iter++
-			inv.lp.Iterations++
-			if len(inv.loop.Blocks) == 1 {
-				inv.lp.BodyExecuted = true
-			}
-		} else if inv.loop.Blocks[b] {
-			inv.lp.BodyExecuted = true
-		}
-	}
-	// Coverage: attribute this block's instructions to every active loop.
-	cost := int64(len(b.Instrs)) + 1
-	for _, inv := range tr.active {
-		tr.prof.LoopSteps[inv.key] += cost
-	}
+	b.clock += int64(len(blk.Instrs)) + 1
 }
 
-func (tr *tracer) OnLoad(_ *interp.Frame, in *ir.Load, obj *ir.Object, idx int) {
-	a := Addr{Obj: obj.ID, Idx: idx}
-	g, hasG := tr.groupOf[in]
-	for _, inv := range tr.active {
-		st := inv.state(a)
-		if st.curIter != inv.iter {
-			st.curIter = inv.iter
-			st.writtenInCur = false
-		}
-		if !st.writtenInCur {
-			st.everReadFirst = true
-			if st.lastWriteIter > 0 && st.lastWriteIter != inv.iter {
-				st.raw = true
-			}
-		}
-		st.lastReadIter = inv.iter
-		inv.updateGroup(st, g, hasG)
-	}
-}
-
-func (tr *tracer) OnStore(_ *interp.Frame, in *ir.Store, obj *ir.Object, idx int) {
-	a := Addr{Obj: obj.ID, Idx: idx}
-	g, hasG := tr.groupOf[in]
-	for _, inv := range tr.active {
-		st := inv.state(a)
-		if st.curIter != inv.iter {
-			st.curIter = inv.iter
-			st.writtenInCur = false
-		}
-		if st.lastReadIter > 0 && st.lastReadIter != inv.iter {
-			st.war = true
-		}
-		if st.lastWriteIter > 0 && st.lastWriteIter != inv.iter {
-			st.waw = true
-		}
-		st.lastWriteIter = inv.iter
-		st.writtenInCur = true
-		inv.updateGroup(st, g, hasG)
-	}
-}
-
-func (inv *invocation) state(a Addr) *addrState {
-	st, ok := inv.addrs[a]
-	if !ok {
-		st = &addrState{group: -1}
-		inv.addrs[a] = st
-	}
-	return st
-}
-
-func (inv *invocation) updateGroup(st *addrState, g int, hasG bool) {
-	if !hasG {
-		st.group = -2 // accessed by a non-reduction instruction
+func (b *Builder) OnLoad(_ *interp.Frame, in *ir.Load, obj *ir.Object, idx int) {
+	if len(b.active) == 0 {
 		return
 	}
-	switch st.group {
-	case -1:
-		st.group = g
-	case g:
-	default:
-		st.group = -2
+	g := b.group(in)
+	k := cellKey(obj, idx)
+	for d := range b.active {
+		iter := b.active[d].iter
+		c := b.tabs[d].slot(k)
+		if c.cur != iter {
+			c.cur = iter
+			c.flags &^= writtenInCur
+		}
+		if c.flags&writtenInCur == 0 {
+			c.flags |= readFirst
+			if c.lastW > 0 && c.lastW != iter {
+				c.flags |= raw
+			}
+		}
+		c.lastR = iter
+		c.joinGroup(g)
 	}
 }
 
-// closeInvocation folds an invocation's per-address states into the loop
-// profile.
-func (tr *tracer) closeInvocation(inv *invocation) {
-	lp := inv.lp
-	for _, st := range inv.addrs {
-		isReduction := st.group >= 0
-		if isReduction {
-			lp.ReductionAddrs = true
-			continue // all carried traffic on this address is one op= group
+func (b *Builder) OnStore(_ *interp.Frame, in *ir.Store, obj *ir.Object, idx int) {
+	if len(b.active) == 0 {
+		return
+	}
+	g := b.group(in)
+	k := cellKey(obj, idx)
+	for d := range b.active {
+		iter := b.active[d].iter
+		c := b.tabs[d].slot(k)
+		if c.cur != iter {
+			c.cur = iter
+			c.flags &^= writtenInCur
 		}
-		if st.raw {
+		if c.lastR > 0 && c.lastR != iter {
+			c.flags |= war
+		}
+		if c.lastW > 0 && c.lastW != iter {
+			c.flags |= waw
+		}
+		c.lastW = iter
+		c.flags |= writtenInCur
+		c.joinGroup(g)
+	}
+}
+
+// group returns the program-wide reduction group of the executing
+// frame's access in, or noGroup.
+func (b *Builder) group(in ir.Instr) int32 {
+	for _, ig := range b.frames[len(b.frames)-1].groups {
+		if ig.in == in {
+			return ig.group
+		}
+	}
+	return noGroup
+}
+
+// open starts an invocation of loop l on top of the active stack.
+func (b *Builder) open(l int32) {
+	b.lps[l].Invocations++
+	for i := range b.active {
+		a := b.active[i].loop
+		row := b.contains[a]
+		if row == nil {
+			row = make([]uint64, (len(b.loops)+63)/64)
+			b.contains[a] = row
+		}
+		row[l>>6] |= 1 << (l & 63)
+	}
+	d := len(b.active)
+	b.active = append(b.active, invocation{loop: l, start: b.clock})
+	if d == len(b.tabs) {
+		b.tabs = append(b.tabs, cellTable{})
+	}
+	b.tabs[d].reset()
+}
+
+// close ends the innermost active invocation, folding each cell it
+// touched into its loop's profile.
+func (b *Builder) close() {
+	d := len(b.active) - 1
+	inv := b.active[d]
+	b.active = b.active[:d]
+	b.steps[inv.loop] += b.clock - inv.start
+	lp := b.lps[inv.loop]
+	t := &b.tabs[d]
+	for _, s := range t.touched {
+		c := &t.cells[s]
+		switch {
+		case c.group >= 0:
+			// All carried traffic on this address is one op= group.
+			lp.ReductionAddrs = true
+		case c.flags&raw != 0:
 			lp.FatalRAW = true
 			lp.addrFatalRAW++
-			continue
-		}
-		if st.war || st.waw {
+		case c.flags&(war|waw) != 0:
 			lp.NeedPriv = true
 			lp.addrNeedPriv++
-			if st.everReadFirst {
+			if c.flags&readFirst != 0 {
 				lp.addrPrivFail++
 			}
 		}
+	}
+}
+
+// Per-cell flags.
+const (
+	writtenInCur uint8 = 1 << iota // written in iteration cur
+	readFirst                      // read before written in some iteration
+	raw
+	war
+	waw
+)
+
+// Cell group states besides a group id.
+const (
+	noGroup    int32 = -1 // unset, or an access outside every group
+	mixedGroup int32 = -2
+)
+
+// cell is one heap address's access history within one invocation.
+type cell struct {
+	key   uint64
+	epoch uint32
+	group int32 // noGroup until accessed, mixedGroup, or a group id
+	cur   int64 // iteration of the last access
+	lastW int64 // iteration of the last write; 0 = none
+	lastR int64 // iteration of the last read; 0 = none
+	flags uint8
+}
+
+func (c *cell) joinGroup(g int32) {
+	switch {
+	case g == noGroup:
+		c.group = mixedGroup // accessed by a non-reduction instruction
+	case c.group == noGroup:
+		c.group = g
+	case c.group != g:
+		c.group = mixedGroup
+	}
+}
+
+// cellTable is an open-addressed hash table of one invocation's cells:
+// power-of-two sized, linear probing, keyed like interp's loop recorder
+// (object ID << 32 | index, mixed by a bijection, so distinct cells never
+// alias). A slot stamped with an older epoch is empty, so reset is O(1);
+// touched lists the current epoch's slots.
+type cellTable struct {
+	cells   []cell
+	touched []int32
+	epoch   uint32
+}
+
+func (t *cellTable) reset() {
+	t.touched = t.touched[:0]
+	t.epoch++
+	if t.epoch == 0 {
+		clear(t.cells)
+		t.epoch = 1
+	}
+}
+
+func cellKey(obj *ir.Object, idx int) uint64 {
+	k := uint64(obj.ID)<<32 | uint64(uint32(idx))
+	k *= 0xff51afd7ed558ccd
+	k ^= k >> 33
+	return k
+}
+
+func (t *cellTable) slot(k uint64) *cell {
+	if t.cells == nil {
+		t.cells = make([]cell, 64)
+	}
+	mask := uint64(len(t.cells) - 1)
+	for i := k & mask; ; i = (i + 1) & mask {
+		c := &t.cells[i]
+		if c.epoch != t.epoch {
+			if len(t.touched) >= len(t.cells)*3/4 {
+				t.grow()
+				return t.slot(k)
+			}
+			t.touched = append(t.touched, int32(i))
+			*c = cell{key: k, epoch: t.epoch, group: noGroup}
+			return c
+		}
+		if c.key == k {
+			return c
+		}
+	}
+}
+
+// grow doubles the table, carrying over the current epoch's cells.
+func (t *cellTable) grow() {
+	old := t.cells
+	t.cells = make([]cell, len(old)*2)
+	mask := uint64(len(t.cells) - 1)
+	for n, s := range t.touched {
+		c := old[s]
+		j := c.key & mask
+		for t.cells[j].epoch == t.epoch {
+			j = (j + 1) & mask
+		}
+		t.cells[j] = c
+		t.touched[n] = int32(j)
 	}
 }

@@ -137,8 +137,24 @@ type Options struct {
 // but fanned out over the worker pool. ctx (nil means Background) scopes
 // the whole analysis: once it is cancelled no new loop or replay starts,
 // in-flight interpreter runs are interrupted, and every unfinished loop
-// reports Verdict Cancelled.
+// reports Verdict Cancelled. It is the program's reference run followed by
+// AnalyzeReference.
 func Analyze(ctx context.Context, prog *ir.Program, opt Options) (*core.Report, error) {
+	// Reference execution, once: its output is the behaviour every replay
+	// must preserve, and its per-loop evidence decides loops outright. A
+	// trap here is fatal for the whole analysis — including the trap a
+	// cancelled ctx converts it into.
+	ref, err := core.RunReference(ctx, prog, opt.Core, nil)
+	if err != nil {
+		return nil, err
+	}
+	return AnalyzeReference(ctx, prog, ref, opt), nil
+}
+
+// AnalyzeReference is Analyze over a reference run the caller already
+// made with core.RunReference under the same core options, for instance
+// one that also built the program's dependence profile.
+func AnalyzeReference(ctx context.Context, prog *ir.Program, ref *core.Reference, opt Options) *core.Report {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -150,15 +166,6 @@ func Analyze(ctx context.Context, prog *ir.Program, opt Options) (*core.Report, 
 			workers = runtime.GOMAXPROCS(0)
 		}
 		pool = NewPool(workers)
-	}
-
-	// Reference execution, once: its output is the behaviour every replay
-	// must preserve, and its per-loop evidence decides loops outright. A
-	// trap here is fatal for the whole analysis — including the trap a
-	// cancelled ctx converts it into.
-	ref, err := core.RunReference(ctx, prog, copt)
-	if err != nil {
-		return nil, err
 	}
 
 	pur := purity.Analyze(prog)
@@ -263,7 +270,7 @@ func Analyze(ctx context.Context, prog *ir.Program, opt Options) (*core.Report, 
 	wg.Wait()
 
 	sortLoops(rep)
-	return rep, nil
+	return rep
 }
 
 // replayJournaled restores a journaled verdict into res, emitting the same

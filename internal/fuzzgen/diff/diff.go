@@ -36,6 +36,7 @@ import (
 	"dca/internal/dcart"
 	"dca/internal/depprof"
 	"dca/internal/discopop"
+	"dca/internal/engine"
 	"dca/internal/fingerprint"
 	"dca/internal/fuzzgen"
 	"dca/internal/icc"
@@ -44,6 +45,7 @@ import (
 	"dca/internal/interp"
 	"dca/internal/ir"
 	"dca/internal/irbuild"
+	"dca/internal/obs"
 	"dca/internal/parallel"
 	"dca/internal/polly"
 	"dca/internal/purity"
@@ -154,7 +156,13 @@ type Result struct {
 // It never panics and never aborts a campaign: a program that traps at any
 // stage (compile, reference execution, analysis) comes back with Trapped
 // set and is counted, not fatal.
-func Check(p *fuzzgen.Program, opt Options) (res *Result) {
+func Check(p *fuzzgen.Program, opt Options) *Result {
+	return check(p, opt, nil)
+}
+
+// check is Check with the analysis's trace events sent to sink (nil =
+// none).
+func check(p *fuzzgen.Program, opt Options, sink obs.Sink) (res *Result) {
 	opt = opt.normalized()
 	res = &Result{Seed: p.Seed}
 	defer func() {
@@ -184,26 +192,29 @@ func Check(p *fuzzgen.Program, opt Options) (res *Result) {
 		})
 	}
 
-	limits := sandbox.Limits{MaxSteps: opt.MaxSteps, Timeout: opt.Timeout}
-	var refOut strings.Builder
-	if oc := sandbox.Run(nil, prog, interp.Config{Out: &refOut}, limits, nil); !oc.OK() {
-		res.Trapped = true
-		res.TrapKind = oc.Trap.Kind.String()
-		res.TrapDetail = oc.Trap.Error()
-		return res
-	}
-
-	rep, err := core.Analyze(prog, core.Options{
+	// The program executes uninstrumented once. That reference run gives
+	// the parallel oracle its expected output, serves DCA and the prover
+	// re-check, and builds the dependence profile for the baselines.
+	copt := core.Options{
 		Schedules: opt.Schedules,
 		MaxSteps:  opt.MaxSteps,
 		Timeout:   opt.Timeout,
-	})
+		Trace:     sink,
+	}.Normalized()
+	var prof *depprof.Builder
+	var tracer interp.Tracer
+	if opt.Baselines {
+		prof = depprof.NewBuilder(prog)
+		tracer = prof
+	}
+	ref, err := core.RunReference(nil, prog, copt, tracer)
 	if err != nil {
 		res.Trapped = true
 		res.TrapKind = trapKindOf(err)
 		res.TrapDetail = err.Error()
 		return res
 	}
+	rep := engine.AnalyzeReference(nil, prog, ref, engine.Options{Core: copt, Workers: 1})
 
 	labels := p.Labels()
 	for _, lr := range rep.Loops {
@@ -251,15 +262,15 @@ func Check(p *fuzzgen.Program, opt Options) (res *Result) {
 		}
 	}
 	if len(proved) > 0 {
-		if dyn, err := analyzeNoProve(prog, opt, proved); err == nil {
-			for i, dr := range dyn {
-				if out := proved[i]; dr.Verdict == core.NonCommutative {
-					res.Violations = append(res.Violations, Violation{
-						Kind: KindProverDiv, Fn: out.Fn, Index: out.Index, Label: out.Label,
-						Verdict: out.Verdict.String(),
-						Detail:  "dynamic stage (prover disabled) found divergence on a static-proved loop: " + dr.Reason,
-					})
-				}
+		noProve := copt
+		noProve.NoProve = true
+		for i, dr := range analyzeLoops(prog, ref, noProve, proved) {
+			if out := proved[i]; dr.Verdict == core.NonCommutative {
+				res.Violations = append(res.Violations, Violation{
+					Kind: KindProverDiv, Fn: out.Fn, Index: out.Index, Label: out.Label,
+					Verdict: out.Verdict.String(),
+					Detail:  "dynamic stage (prover disabled) found divergence on a static-proved loop: " + dr.Reason,
+				})
 			}
 		}
 	}
@@ -274,31 +285,20 @@ func Check(p *fuzzgen.Program, opt Options) (res *Result) {
 		if spec == nil || !spec.ParallelSafe() {
 			continue
 		}
-		checkParallel(prog, out, refOut.String(), opt, res)
+		checkParallel(prog, out, ref.Out, opt, res)
 	}
 
 	// Cross-check 2: the five baselines, logged as deltas only.
 	if opt.Baselines {
-		runBaselines(prog, opt, res)
+		runBaselines(prog, prof.Profile(ref.Steps, false), res)
 	}
 	return res
 }
 
-// analyzeNoProve analyzes the given loops of prog with the prover disabled,
-// returning one result per loop, in order. It runs the program's reference
-// execution once and then only those loops, not every loop of the program:
-// each loop's result is the one a whole-program analysis would report.
-func analyzeNoProve(prog *ir.Program, opt Options, loops []LoopOutcome) ([]*core.LoopResult, error) {
-	copt := core.Options{
-		Schedules: opt.Schedules,
-		MaxSteps:  opt.MaxSteps,
-		Timeout:   opt.Timeout,
-		NoProve:   true,
-	}.Normalized()
-	ref, err := core.RunReference(nil, prog, copt)
-	if err != nil {
-		return nil, err
-	}
+// analyzeLoops analyzes the given loops of prog under copt against its
+// reference run, returning one result per loop, in order: each loop's
+// result is the one a whole-program analysis would report.
+func analyzeLoops(prog *ir.Program, ref *core.Reference, copt core.Options, loops []LoopOutcome) []*core.LoopResult {
 	pur := purity.Analyze(prog)
 	out := make([]*core.LoopResult, len(loops))
 	for i, l := range loops {
@@ -308,7 +308,7 @@ func analyzeNoProve(prog *ir.Program, opt Options, loops []LoopOutcome) ([]*core
 		out[i] = &core.LoopResult{Fn: l.Fn, Index: l.Index, ID: loop.ID()}
 		core.AnalyzeLoopInto(context.Background(), prog, fn, loop, pur, copt, ref, out[i], nil)
 	}
-	return out, nil
+	return out
 }
 
 // execOutcome captures one executor's complete observable behaviour on a
@@ -408,12 +408,8 @@ func checkParallel(prog *ir.Program, out *LoopOutcome, refOut string, opt Option
 }
 
 // runBaselines attaches the five detectors' claims to every labeled loop.
-// One traced execution serves both dependence profilers, as in cmd/dca.
-func runBaselines(prog *ir.Program, opt Options, res *Result) {
-	prof, err := depprof.Trace(prog, opt.MaxSteps)
-	if err != nil {
-		return
-	}
+// One dependence profile serves both dependence profilers, as in cmd/dca.
+func runBaselines(prog *ir.Program, prof *depprof.Profile, res *Result) {
 	dp := depprof.AnalyzeProfile(prog, prof, depprof.DefaultPolicy())
 	dpp := discopop.AnalyzeProfile(prog, prof)
 	idi := idioms.Analyze(prog)

@@ -9,6 +9,7 @@ import (
 	"dca/internal/core"
 	"dca/internal/fuzzgen"
 	"dca/internal/irbuild"
+	"dca/internal/obs"
 )
 
 // TestCampaignHealthy runs a small real campaign end to end — generator,
@@ -232,10 +233,11 @@ func TestProvedRecheckMatchesWholeProgram(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: whole-program analysis: %v", seed, err)
 		}
-		got, err := analyzeNoProve(prog, opt, proved)
+		ref, err := core.RunReference(nil, prog, noProve, nil)
 		if err != nil {
-			t.Fatalf("seed %d: per-loop analysis: %v", seed, err)
+			t.Fatalf("seed %d: reference run: %v", seed, err)
 		}
+		got := analyzeLoops(prog, ref, noProve.Normalized(), proved)
 		for _, g := range got {
 			w := whole.Result(g.Fn, g.Index)
 			if w == nil || g.ID != w.ID || g.Verdict != w.Verdict || g.Reason != w.Reason ||
@@ -250,4 +252,37 @@ func TestProvedRecheckMatchesWholeProgram(t *testing.T) {
 		t.Fatalf("compared %d proved loops, want at least 100", checked)
 	}
 	t.Logf("%d proved loops compared", checked)
+}
+
+// TestCheckOneReferenceRun: Check executes each program uninstrumented
+// once, outside its interp-vs-vm differential: one reference run serves
+// the parallel oracle's expected output, DCA, the prover re-check and the
+// baselines' dependence profile.
+func TestCheckOneReferenceRun(t *testing.T) {
+	rechecked := false
+	for seed := int64(1); seed <= 20; seed++ {
+		var sink obs.Collector
+		res := check(fuzzgen.New(seed), Options{Baselines: true}, &sink)
+		if res.Trapped {
+			continue
+		}
+		refs := 0
+		for _, ev := range sink.Events() {
+			if ev.Stage == obs.StageReference {
+				refs++
+			}
+		}
+		if refs != 1 {
+			t.Errorf("seed %d: %d reference runs, want 1", seed, refs)
+		}
+		for _, l := range res.Loops {
+			rechecked = rechecked || l.Proved
+			if l.Labeled && l.Baselines == nil {
+				t.Errorf("seed %d: loop %s/%d has no baseline claims", seed, l.Fn, l.Index)
+			}
+		}
+	}
+	if !rechecked {
+		t.Error("no proved loop: the prover re-check never shared the run")
+	}
 }

@@ -1,8 +1,9 @@
-// Package interp is a tree-walking interpreter for the IR. It is DCA's
-// execution substrate: the dynamic stage runs instrumented programs under
-// it, the dependence profilers subscribe to its heap-access trace, and the
-// benchmark harness uses its dynamic instruction counts as the cost model
-// for the machine simulator.
+// Package interp is a tree-walking interpreter for the IR and the
+// execution contract both executors share: Config, Tracer, LoopRecorder,
+// the step and budget semantics and the error taxonomy. The bytecode VM
+// (internal/vm) runs most executions to this contract; the tree-walker is
+// its differential oracle and runs the rest: StepHook's per-instruction
+// callback, the parallel executor (internal/parallel) and -no-vm.
 package interp
 
 import (
@@ -70,7 +71,11 @@ type Frame struct {
 	Depth  int
 }
 
-// Tracer receives execution events. A nil tracer costs nothing.
+// Tracer receives execution events. A nil tracer costs nothing. Both
+// executors raise the same events in the same order, so a tracer keeps a
+// run on the bytecode VM. A callback must not keep the *Frame it is given
+// or the frame's Locals past its return: the VM reuses both once the frame
+// returns.
 type Tracer interface {
 	// OnBlock fires when control enters a basic block.
 	OnBlock(fr *Frame, b *ir.Block)
@@ -119,8 +124,7 @@ type Config struct {
 	StepHook func(fr *Frame, in ir.Instr, steps int64) error
 	// Loops, when non-nil, records per-loop invocation and iteration counts
 	// and iteration-disjoint heap footprints for every loop of the program
-	// at once (see LoopRecorder). Unlike a Tracer it keeps the run on the
-	// bytecode VM: both executors feed it directly.
+	// at once (see LoopRecorder). Both executors feed it directly.
 	Loops *LoopRecorder
 	// NoVM forces this execution onto the tree-walking interpreter even
 	// when the bytecode VM is enabled process-wide. It is a per-execution

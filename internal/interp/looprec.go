@@ -23,11 +23,10 @@ import (
 // segment of every active loop, callees included. A store of the value a
 // cell already holds (a silent store) counts as a read.
 //
-// The recorder is deliberately not a Tracer: both executors feed it
-// directly at block entry, frame return, load and store, so recording keeps
-// the run on the bytecode VM. Loops stop being tracked after their first
-// conflict or re-entry, and accesses outside every tracked loop cost one
-// comparison.
+// Both executors feed the recorder directly at block entry, frame return,
+// load and store, without a Tracer's interface calls. Loops stop being
+// tracked after their first conflict or re-entry, and accesses outside
+// every tracked loop cost one comparison.
 type LoopRecorder struct {
 	byFn  map[*ir.Func]*FuncLoops
 	loops []loopState
@@ -155,17 +154,7 @@ func (fl *FuncLoops) Enter(depth int, b int) {
 
 // Position returns b's position in Fn.Blocks, or -1 when b is not one of
 // the function's blocks.
-func (fl *FuncLoops) Position(b *ir.Block) int {
-	if i := b.Index; i >= 0 && i < len(fl.fn.Blocks) && fl.fn.Blocks[i] == b {
-		return i
-	}
-	for i, x := range fl.fn.Blocks {
-		if x == b {
-			return i
-		}
-	}
-	return -1
-}
+func (fl *FuncLoops) Position(b *ir.Block) int { return fl.fn.Position(b) }
 
 // Return records the frame at the given call depth returning: every loop
 // invocation it was running ends. When the outermost frame returns no

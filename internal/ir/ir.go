@@ -203,6 +203,20 @@ func (f *Func) NewBlock(name string) *Block {
 // Entry returns the entry block.
 func (f *Func) Entry() *Block { return f.Blocks[0] }
 
+// Position returns b's position in f.Blocks, or -1 when b is not one of
+// f's blocks. b.Index answers at once unless an edit left it stale.
+func (f *Func) Position(b *Block) int {
+	if i := b.Index; i >= 0 && i < len(f.Blocks) && f.Blocks[i] == b {
+		return i
+	}
+	for i, x := range f.Blocks {
+		if x == b {
+			return i
+		}
+	}
+	return -1
+}
+
 // Renumber re-assigns block indices after structural edits.
 func (f *Func) Renumber() {
 	for i, b := range f.Blocks {

@@ -187,8 +187,8 @@ type executor interface {
 }
 
 // newExecutor picks the VM when it is enabled and the config carries no
-// per-instruction subscriptions (Tracer, StepHook) the VM cannot raise;
-// everything else runs on the tree-walker.
+// StepHook (a per-instruction callback the VM does not raise) and no
+// per-execution NoVM; everything else runs on the tree-walker.
 func newExecutor(prog *ir.Program, cfg interp.Config) executor {
 	if vm.Enabled() && vm.Supported(cfg) {
 		return vm.New(prog, cfg)

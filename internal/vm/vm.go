@@ -10,17 +10,20 @@
 //
 // The VM reproduces the tree-walking interpreter's contract exactly: step
 // counts, block counts, output bytes, BudgetError/CancelError taxonomy and
-// texts, error wrapping per frame, Runtime intrinsics (via interp.Env), and
-// panic behaviour. internal/sandbox switches between the two executors
-// transparently; the tree-walker stays available behind -no-vm as the
-// differential-testing oracle (see dca fuzz's exec-divergence leg).
+// texts, error wrapping per frame, Runtime intrinsics (via interp.Env),
+// LoopRecorder and interp.Tracer events (same points, same order), and
+// panic behaviour. A run without a tracer pays one nil check per event
+// site. internal/sandbox switches between the two executors transparently;
+// only StepHook's per-instruction callback needs the tree-walker, which
+// also stays available behind -no-vm as the differential-testing oracle
+// (see dca fuzz's exec-divergence leg).
 //
 // Arena lifetime rules: frames and their register slices live on per-machine
-// LIFO arenas and are reused after the frame returns — a Runtime must not
-// retain a *interp.Frame or an intrinsic args slice beyond the intrinsic
-// call (the in-tree runtimes copy what they keep). Heap objects are carved
-// from append-only chunks that stay reachable through the program's own
-// references, so escaping a ref is always safe.
+// LIFO arenas and are reused after the frame returns — a Runtime or Tracer
+// must not retain a *interp.Frame, its Locals or an intrinsic args slice
+// beyond the callback (the in-tree runtimes copy what they keep). Heap
+// objects are carved from append-only chunks that stay reachable through
+// the program's own references, so escaping a ref is always safe.
 package vm
 
 import (
@@ -48,23 +51,24 @@ func Enabled() bool { return !disabled.Load() }
 // tree-walker then runs everything).
 func SetEnabled(v bool) { disabled.Store(!v) }
 
-// Supported reports whether cfg can run on the VM. Tracer and StepHook
-// subscribe to per-instruction events the VM does not raise; those runs
-// stay on the tree-walker. A config carrying NoVM opted out per execution
-// (the server's per-request `no_vm`), without touching the process-wide
-// preference other requests share.
+// Supported reports whether cfg can run on the VM. The VM raises a
+// Tracer's events itself, but not StepHook's per-instruction callback:
+// those runs stay on the tree-walker. A config carrying NoVM opted out per
+// execution (the server's per-request `no_vm`), without touching the
+// process-wide preference other requests share.
 func Supported(cfg interp.Config) bool {
-	return cfg.Tracer == nil && cfg.StepHook == nil && !cfg.NoVM
+	return cfg.StepHook == nil && !cfg.NoVM
 }
 
 // Machine executes one program. Not safe for concurrent use; distinct
 // machines may share the program's compiled code freely.
 type Machine struct {
-	code  *progCode
-	out   io.Writer
-	rt    interp.Runtime
-	loops *interp.LoopRecorder
-	ctx   context.Context
+	code   *progCode
+	out    io.Writer
+	rt     interp.Runtime
+	loops  *interp.LoopRecorder
+	tracer interp.Tracer
+	ctx    context.Context
 
 	steps    int64
 	maxSteps int64
@@ -107,6 +111,7 @@ func New(prog *ir.Program, cfg interp.Config) *Machine {
 		out:      cfg.Out,
 		rt:       cfg.Runtime,
 		loops:    cfg.Loops,
+		tracer:   cfg.Tracer,
 		ctx:      cfg.Ctx,
 		maxSteps: max,
 		maxHeap:  cfg.MaxHeapObjects,
@@ -219,17 +224,23 @@ func (m *Machine) call(fc *fnCode, args []ir.Value, parent *interp.Frame) (ir.Va
 	if depth > 10000 {
 		return ir.Value{}, fmt.Errorf("interp: call stack overflow in %s", fc.fn.Name)
 	}
-	if len(fc.blocks) == 0 {
-		// The tree-walker panics indexing Blocks[0]; reproduce it.
-		_ = fc.fn.Entry()
-	}
 	regs := m.stack.push(fc.nLocals)
 	fr := m.frames.push()
 	*fr = interp.Frame{Fn: fc.fn, Locals: regs, Parent: parent, Depth: depth}
 	for i, p := range fc.fn.Params {
 		regs[p.Index] = args[i]
 	}
+	if m.tracer != nil {
+		m.tracer.OnCall(fr)
+	}
+	if len(fc.blocks) == 0 {
+		// The tree-walker panics indexing Blocks[0]; reproduce it.
+		_ = fc.fn.Entry()
+	}
 	ret, err := m.exec(fc, fr, regs)
+	if m.tracer != nil {
+		m.tracer.OnRet(fr)
+	}
 	if m.loops != nil {
 		m.loops.Return(depth)
 	}
@@ -276,6 +287,7 @@ func (m *Machine) budgetErr(resource string, limit int64, fc *fnCode, pc int32) 
 }
 
 // enter counts a block entry when block counting is on and returns its pc.
+// It stays small enough to inline: callers raise the tracer's block event.
 func (m *Machine) enter(fc *fnCode, bi int32) int32 {
 	if bi < 0 {
 		nilBlockPanic()
@@ -318,6 +330,9 @@ func (m *Machine) exec(fc *fnCode, fr *interp.Frame, regs []ir.Value) (ir.Value,
 		loops = m.loops.Func(fc.fn)
 	}
 	pc := m.enter(fc, 0)
+	if m.tracer != nil {
+		m.tracer.OnBlock(fr, fc.blocks[0].b)
+	}
 	if loops != nil {
 		loops.Enter(fr.Depth, 0)
 	}
@@ -436,6 +451,9 @@ func (m *Machine) exec(fc *fnCode, fr *interp.Frame, regs []ir.Value) (ir.Value,
 			if idx < 0 || idx >= len(obj.Elems) {
 				return ir.Value{}, wrap(fc, fc.in1Of(pc), fmt.Errorf("index %d out of range [0,%d)", idx, len(obj.Elems)))
 			}
+			if m.tracer != nil {
+				m.tracer.OnLoad(fr, fc.in1Of(pc).(*ir.Load), obj, idx)
+			}
 			if m.loops != nil {
 				m.loops.OnLoad(obj, idx)
 			}
@@ -457,6 +475,9 @@ func (m *Machine) exec(fc *fnCode, fr *interp.Frame, regs []ir.Value) (ir.Value,
 			obj := base.Ref
 			if idx < 0 || idx >= len(obj.Elems) {
 				return ir.Value{}, wrap(fc, fc.in1Of(pc), fmt.Errorf("index %d out of range [0,%d)", idx, len(obj.Elems)))
+			}
+			if m.tracer != nil {
+				m.tracer.OnStore(fr, fc.in1Of(pc).(*ir.Store), obj, idx)
 			}
 			v := get(regs, consts, in.c)
 			if m.loops != nil && m.loops.Active() {
@@ -633,6 +654,9 @@ func (m *Machine) exec(fc *fnCode, fr *interp.Frame, regs []ir.Value) (ir.Value,
 				}
 			}
 			pc = m.enter(fc, in.d)
+			if m.tracer != nil {
+				m.tracer.OnBlock(fr, fc.blocks[in.d].b)
+			}
 			if loops != nil {
 				loops.Enter(fr.Depth, int(in.d))
 			}
@@ -649,6 +673,9 @@ func (m *Machine) exec(fc *fnCode, fr *interp.Frame, regs []ir.Value) (ir.Value,
 				bi = in.d
 			}
 			pc = m.enter(fc, bi)
+			if m.tracer != nil {
+				m.tracer.OnBlock(fr, fc.blocks[bi].b)
+			}
 			if loops != nil {
 				loops.Enter(fr.Depth, int(bi))
 			}
@@ -681,6 +708,9 @@ func (m *Machine) exec(fc *fnCode, fr *interp.Frame, regs []ir.Value) (ir.Value,
 			obj := base.Ref
 			if idx < 0 || idx >= len(obj.Elems) {
 				return ir.Value{}, wrap(fc, fc.in1Of(pc), fmt.Errorf("index %d out of range [0,%d)", idx, len(obj.Elems)))
+			}
+			if m.tracer != nil {
+				m.tracer.OnLoad(fr, fc.in1Of(pc).(*ir.Load), obj, idx)
 			}
 			if m.loops != nil {
 				m.loops.OnLoad(obj, idx)
@@ -780,6 +810,9 @@ func (m *Machine) exec(fc *fnCode, fr *interp.Frame, regs []ir.Value) (ir.Value,
 				bi = ext[0]
 			}
 			pc = m.enter(fc, bi)
+			if m.tracer != nil {
+				m.tracer.OnBlock(fr, fc.blocks[bi].b)
+			}
 			if loops != nil {
 				loops.Enter(fr.Depth, int(bi))
 			}

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"dca/internal/cfg"
+	"dca/internal/fuzzgen"
 	"dca/internal/interp"
 	"dca/internal/ir"
 	"dca/internal/irbuild"
@@ -253,7 +254,9 @@ func TestFootprintParity(t *testing.T) {
 	}
 }
 
-// TestSupported: per-instruction subscriptions keep runs off the VM.
+// TestSupported: StepHook's per-instruction callback and a per-execution
+// NoVM keep runs off the VM; a Tracer does not, since the VM raises its
+// events itself.
 func TestSupported(t *testing.T) {
 	if !vm.Supported(interp.Config{}) {
 		t.Error("plain config should be VM-supported")
@@ -261,8 +264,11 @@ func TestSupported(t *testing.T) {
 	if vm.Supported(interp.Config{StepHook: func(*interp.Frame, ir.Instr, int64) error { return nil }}) {
 		t.Error("StepHook config must not be VM-supported")
 	}
-	if vm.Supported(interp.Config{Tracer: nopTracer{}}) {
-		t.Error("Tracer config must not be VM-supported")
+	if !vm.Supported(interp.Config{Tracer: nopTracer{}}) {
+		t.Error("Tracer config should be VM-supported")
+	}
+	if vm.Supported(interp.Config{NoVM: true}) {
+		t.Error("NoVM config must not be VM-supported")
 	}
 }
 
@@ -273,3 +279,112 @@ func (nopTracer) OnLoad(*interp.Frame, *ir.Load, *ir.Object, int)   {}
 func (nopTracer) OnStore(*interp.Frame, *ir.Store, *ir.Object, int) {}
 func (nopTracer) OnCall(*interp.Frame)                              {}
 func (nopTracer) OnRet(*interp.Frame)                               {}
+
+// event is one tracer callback as an executor raised it.
+type event struct {
+	kind  string
+	fn    *ir.Func
+	block *ir.Block
+	in    ir.Instr
+	obj   int64
+	idx   int
+	depth int
+}
+
+func (e event) String() string {
+	s := e.kind
+	if e.fn != nil {
+		s += " " + e.fn.Name
+	}
+	if e.block != nil {
+		s += " " + e.block.Name
+	}
+	if e.in != nil {
+		s += fmt.Sprintf(" %q obj %d[%d]", e.in, e.obj, e.idx)
+	}
+	return s + fmt.Sprintf(" depth %d", e.depth)
+}
+
+// eventLog records every tracer event in order.
+type eventLog struct{ events []event }
+
+func (l *eventLog) add(kind string, fr *interp.Frame, b *ir.Block, in ir.Instr, obj *ir.Object, idx int) {
+	e := event{kind: kind, fn: fr.Fn, block: b, in: in, idx: idx, depth: fr.Depth}
+	if obj != nil {
+		e.obj = obj.ID
+	}
+	l.events = append(l.events, e)
+}
+
+func (l *eventLog) OnBlock(fr *interp.Frame, b *ir.Block) { l.add("block", fr, b, nil, nil, 0) }
+func (l *eventLog) OnLoad(fr *interp.Frame, in *ir.Load, obj *ir.Object, idx int) {
+	l.add("load", fr, nil, in, obj, idx)
+}
+func (l *eventLog) OnStore(fr *interp.Frame, in *ir.Store, obj *ir.Object, idx int) {
+	l.add("store", fr, nil, in, obj, idx)
+}
+func (l *eventLog) OnCall(fr *interp.Frame) { l.add("call", fr, nil, nil, nil, 0) }
+func (l *eventLog) OnRet(fr *interp.Frame)  { l.add("ret", fr, nil, nil, nil, 0) }
+
+// assertSameEvents runs prog on both executors under an event log and a
+// step budget and demands identical event streams and errors.
+func assertSameEvents(t *testing.T, name string, prog *ir.Program, maxSteps int64) {
+	t.Helper()
+	var lv, li eventLog
+	logs := []*eventLog{&lv, &li} // runBoth configures the VM first
+	_, _, _, _, errV, errI := runBoth(t, prog, func(out *strings.Builder) interp.Config {
+		l := logs[0]
+		logs = logs[1:]
+		return interp.Config{Out: out, MaxSteps: maxSteps, Tracer: l}
+	})
+	if (errV == nil) != (errI == nil) || errV != nil && errV.Error() != errI.Error() {
+		t.Fatalf("%s budget %d: errors diverge: vm %v, interp %v", name, maxSteps, errV, errI)
+	}
+	for i := range min(len(lv.events), len(li.events)) {
+		if lv.events[i] != li.events[i] {
+			t.Fatalf("%s budget %d: event %d: vm %s, interp %s", name, maxSteps, i, lv.events[i], li.events[i])
+		}
+	}
+	if len(lv.events) != len(li.events) || len(li.events) == 0 {
+		t.Fatalf("%s budget %d: vm raised %d events, interp %d", name, maxSteps, len(lv.events), len(li.events))
+	}
+}
+
+// TestTracerEventParity: the VM raises a Tracer's events at the
+// tree-walker's points and in its order — block entries, calls after the
+// frame is set up, returns, every load (the fused load+binop's included)
+// and every store — with the same function, block, instruction, object
+// and index, on the loop-shape corpus, a callee-heavy program, fuzzgen
+// seeds, runs whose step budget trips mid-block, and runs that fault.
+func TestTracerEventParity(t *testing.T) {
+	src, err := os.ReadFile(filepath.Join("..", "interp", "testdata", "loops", "loopshapes.mc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	shapes := compile(t, string(src))
+	calls := compile(t, `
+func touch(a []int, i int) { a[i] = a[i] + 1; }
+func main() {
+	var a []int = new [4]int;
+	for (var i int = 0; i < 4; i++) { touch(a, i); }
+	print(a[3]);
+}`)
+	assertSameEvents(t, "calls", calls, 0)
+	assertSameEvents(t, "loopshapes", shapes, 0)
+	for budget := int64(1); budget <= 400; budget++ {
+		assertSameEvents(t, "loopshapes", shapes, budget)
+	}
+	for seed := int64(1); seed <= 200; seed++ {
+		prog := compile(t, fuzzgen.New(seed).Render())
+		assertSameEvents(t, fmt.Sprintf("fuzz seed %d", seed), prog, 0)
+		assertSameEvents(t, fmt.Sprintf("fuzz seed %d", seed), prog, 5000+seed)
+	}
+	for name, src := range map[string]string{
+		"div-zero":   `func f(x int) int { var z int = 0; return x / z; } func main() { var a []int = new [2]int; for (var i int = 0; i < 2; i++) { a[i] = f(i); } }`,
+		"oob-store":  `func main() { var a []int = new [4]int; for (var i int = 0; i < 8; i++) { a[i] = a[0] + i; } }`,
+		"nil-deref":  `struct N { v int; } func main() { var n *N = nil; print(n->v); }`,
+		"fused-load": `func main() { var a []int = new [4]int; var s int = 0; for (var i int = 0; i < 6; i++) { s = s + a[i]; } print(s); }`,
+	} {
+		assertSameEvents(t, name, compile(t, src), 0)
+	}
+}
