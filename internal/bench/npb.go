@@ -45,6 +45,9 @@ type NPBResult struct {
 	// Accuracy are called once per table render, and rebuilding the CFG and
 	// loop forest for every call made rendering quadratic in the suite size.
 	keys []depprof.LoopKey
+	// speedups caches the machine-model series Table IV and Figures 6 and 7
+	// all read.
+	speedups *Speedups
 }
 
 // LoopKeys returns every loop of the program in deterministic order,
@@ -112,7 +115,9 @@ func RunNPBCore(spec *npb.Spec, pool *engine.Pool, opt core.Options) (*NPBResult
 	r.IC = icc.Analyze(prog)
 	r.DCA = engine.AnalyzeReference(context.Background(), prog, ref, engine.Options{Core: opt, Workers: 1, Pool: pool})
 	r.Truth = truthMap(spec, prog)
-	r.LoopKeys() // warm the cache before results are shared across goroutines
+	// Warm the caches before results are shared across goroutines.
+	r.LoopKeys()
+	r.Speedups()
 	return r, nil
 }
 
@@ -125,7 +130,7 @@ func truthMap(spec *npb.Spec, prog *ir.Program) map[depprof.LoopKey]archetype.Tr
 		if fn == nil {
 			continue
 		}
-		_, loops := cfg.LoopsOf(fn)
+		loops := cfg.Loops(prog, fn)
 		li := 0
 		for _, inst := range g {
 			for k := 0; k < inst.Kind.LoopsPerInstance(); k++ {
@@ -183,8 +188,7 @@ func (r *NPBResult) Counts() MeasuredRow {
 func loopKeys(prog *ir.Program) []depprof.LoopKey {
 	var keys []depprof.LoopKey
 	for _, fn := range prog.Funcs {
-		_, loops := cfg.LoopsOf(fn)
-		for _, l := range loops {
+		for _, l := range cfg.Loops(prog, fn) {
 			keys = append(keys, depprof.LoopKey{Fn: fn.Name, Index: l.Index})
 		}
 	}
@@ -271,7 +275,17 @@ type Speedups struct {
 // this share of execution are not worth spawning threads for.
 const MinProfitableCoverage = 0.0005
 
+// Speedups returns the benchmark's Fig. 6 and 7 series and coverage,
+// computed once per result.
 func (r *NPBResult) Speedups() Speedups {
+	if r.speedups == nil {
+		s := r.computeSpeedups()
+		r.speedups = &s
+	}
+	return *r.speedups
+}
+
+func (r *NPBResult) computeSpeedups() Speedups {
 	cfg := machine.Xeon72(r.Spec.BandwidthCap)
 	speed := func(keys []depprof.LoopKey) float64 {
 		sel := machine.SelectBest(cfg, r.Prof, keys, MinProfitableCoverage)

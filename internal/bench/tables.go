@@ -236,7 +236,8 @@ func (s *Suite) TableIV() string {
 		row := r.Counts()
 		p := r.Spec.Paper
 		found, fp, fn := r.Accuracy()
-		cd, cs := r.Coverage()
+		sp := r.Speedups()
+		cd, cs := sp.CoverageDCA, sp.CoverageStatic
 		rows = append(rows, []string{
 			r.Spec.Name,
 			fmt.Sprintf("%d", row.Loops),
@@ -339,7 +340,7 @@ func RunPLDSCore(p *plds.Program, opt core.Options) (*PLDSResult, error) {
 	if fn == nil {
 		return nil, fmt.Errorf("%s: no function %q", p.Name, p.KeyFn)
 	}
-	_, loops := cfg.LoopsOf(fn)
+	loops := cfg.Loops(prog, fn)
 	if p.KeyLoop < 0 || p.KeyLoop >= len(loops) {
 		return nil, fmt.Errorf("%s: %s has %d loops", p.Name, p.KeyFn, len(loops))
 	}

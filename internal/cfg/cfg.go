@@ -285,3 +285,18 @@ func LoopsOf(fn *ir.Func) (*Graph, []*Loop) {
 	g := New(fn)
 	return g, g.FindLoops()
 }
+
+// forestKey keys one function's loop forest in ir.Program.Memo.
+type forestKey struct{ fn *ir.Func }
+
+// Loops returns fn's loops as LoopsOf finds them, built once per function
+// of prog and shared through prog.Memo by every reader of the program; the
+// loops are read-only. fn must be a function of prog that is no longer
+// rewritten: the instrumenter, which rewrites a clone after finding its
+// loops, calls LoopsOf.
+func Loops(prog *ir.Program, fn *ir.Func) []*Loop {
+	return prog.Memo(forestKey{fn}, func() any {
+		_, loops := LoopsOf(fn)
+		return loops
+	}).([]*Loop)
+}

@@ -78,7 +78,7 @@ func AnalyzeLoopContexts(prog *ir.Program, fnName string, loopIndex int, opt Opt
 	if fn == nil {
 		return nil, fmt.Errorf("core: no function %q", fnName)
 	}
-	_, loops := cfg.LoopsOf(fn)
+	loops := cfg.Loops(prog, fn)
 	if loopIndex < 0 || loopIndex >= len(loops) {
 		return nil, fmt.Errorf("core: %s has %d loops", fnName, len(loops))
 	}

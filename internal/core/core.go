@@ -408,8 +408,7 @@ func Analyze(prog *ir.Program, opt Options) (*Report, error) {
 	pur := purity.Analyze(prog)
 
 	for _, fn := range prog.Funcs {
-		_, loops := cfg.LoopsOf(fn)
-		for _, loop := range loops {
+		for _, loop := range cfg.Loops(prog, fn) {
 			res := &LoopResult{
 				Fn:    fn.Name,
 				Index: loop.Index,
@@ -437,7 +436,7 @@ func AnalyzeLoop(prog *ir.Program, fnName string, loopIndex int, opt Options) (*
 	if fn == nil {
 		return nil, fmt.Errorf("core: no function %q", fnName)
 	}
-	_, loops := cfg.LoopsOf(fn)
+	loops := cfg.Loops(prog, fn)
 	if loopIndex < 0 || loopIndex >= len(loops) {
 		return nil, fmt.Errorf("core: %s has %d loops", fnName, len(loops))
 	}

@@ -232,11 +232,11 @@ func Snapshot(roots []ir.Value) string {
 			}
 		case ir.KindFloat:
 			buf = append(buf, 'f')
-			buf = appendG(buf, v.F)
+			buf = appendG(buf, v.Float())
 			buf = append(buf, ';')
 		case ir.KindString:
 			buf = append(buf, 's')
-			buf = strconv.AppendQuote(buf, v.S)
+			buf = strconv.AppendQuote(buf, v.Str())
 			buf = append(buf, ';')
 		case ir.KindRef:
 			if v.Ref == nil {

@@ -2,7 +2,6 @@ package dcart
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 
 	"dca/internal/ir"
@@ -95,16 +94,16 @@ func SnapshotDigest(roots []ir.Value) Digest {
 			h.word(tagBool)
 			h.word(uint64(v.I) & 1)
 		case ir.KindFloat:
-			if v.F != v.F {
+			if f := v.Float(); f != f {
 				// All NaN payloads serialize as "NaN" in string mode.
 				h.word(tagNaN)
 				return
 			}
 			h.word(tagFloat)
-			h.word(math.Float64bits(v.F))
+			h.word(uint64(v.I))
 		case ir.KindString:
 			h.word(tagStr)
-			h.str(v.S)
+			h.str(v.Str())
 		case ir.KindRef:
 			if v.Ref == nil {
 				// String mode conflates nil-kind and nil-ref ("nil;").

@@ -156,10 +156,13 @@ func AnalyzeProfile(prog *ir.Program, prof *Profile, pol Policy) *Report {
 	return rep
 }
 
-// impureCallee returns the name of a side-effecting function the loop
-// calls, or "".
+// impureCallee returns the name of the first side-effecting function the
+// loop calls, in block order, or "".
 func impureCallee(prog *ir.Program, pur *purity.Info, loop *cfg.Loop) string {
-	for b := range loop.Blocks {
+	for _, b := range loop.Fn.Blocks {
+		if !loop.Blocks[b] {
+			continue
+		}
 		for _, in := range b.Instrs {
 			if c, ok := in.(*ir.Call); ok && !c.Builtin && !pur.Pure(c.Callee) {
 				return c.Callee

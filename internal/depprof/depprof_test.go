@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dca/internal/depprof"
+	"dca/internal/discopop"
 	"dca/internal/interp"
 	"dca/internal/irbuild"
 )
@@ -352,16 +353,40 @@ func main() {
 // alternating them reads as parallel; the reverse schedule changes its
 // output, so it carries a true dependence.
 func TestReductionGroupsAreProgramWide(t *testing.T) {
-	rep := analyze(t, `
+	rep := analyze(t, incDblSrc)
+	expectParallel(t, rep, "main", 0, false)
+	if v := rep.Verdict("main", 0); len(v.Reasons) != 1 || v.Reasons[0] != "loop-carried true dependence on 1 address(es)" {
+		t.Errorf("reasons = %q, want the carried true dependence on h[0]", v.Reasons)
+	}
+}
+
+// incDblSrc calls two impure functions from one loop, inc before dbl in
+// block order.
+const incDblSrc = `
 func inc(h []int, k int) { h[k] = h[k] + 1; }
 func dbl(h []int, k int) { h[k] = h[k] * 2; }
 func main() {
 	var h []int = new [4]int;
 	for (var i int = 0; i < 8; i++) { if (i % 2 == 0) { inc(h, 0); } else { dbl(h, 0); } }
 	print(h[0]);
-}`)
-	expectParallel(t, rep, "main", 0, false)
-	if v := rep.Verdict("main", 0); len(v.Reasons) != 1 || v.Reasons[0] != "loop-carried true dependence on 1 address(es)" {
-		t.Errorf("reasons = %q, want the carried true dependence on h[0]", v.Reasons)
+}`
+
+// TestImpureCalleeReasonIsReproducible: under the DiscoPoP policy a loop
+// calling two impure functions is rejected naming the first callee in
+// block order, on every analysis.
+func TestImpureCalleeReasonIsReproducible(t *testing.T) {
+	prog, err := irbuild.Compile("t.mc", incDblSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof, err := depprof.Trace(prog, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run := 0; run < 50; run++ {
+		v := depprof.AnalyzeProfile(prog, prof, discopop.Policy()).Verdict("main", 0)
+		if v == nil || len(v.Reasons) != 1 || v.Reasons[0] != `call to "inc" crosses computational units` {
+			t.Fatalf("run %d: verdict %+v, want the one reason naming inc", run, v)
+		}
 	}
 }

@@ -157,7 +157,7 @@ func NewBuilder(prog *ir.Program) *Builder {
 	for _, fn := range prog.Funcs {
 		t := &fnTable{fn: fn}
 		b.fns[fn] = t
-		_, loops := cfg.LoopsOf(fn)
+		loops := cfg.Loops(prog, fn)
 		base := int32(len(b.loops))
 		for _, l := range loops {
 			key := LoopKey{fn.Name, l.Index}

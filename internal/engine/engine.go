@@ -179,8 +179,7 @@ func AnalyzeReference(ctx context.Context, prog *ir.Program, ref *core.Reference
 	}
 	var jobs []loopJob
 	for _, fn := range prog.Funcs {
-		_, loops := cfg.LoopsOf(fn)
-		for _, loop := range loops {
+		for _, loop := range cfg.Loops(prog, fn) {
 			res := &core.LoopResult{
 				Fn:    fn.Name,
 				Index: loop.Index,

@@ -303,8 +303,7 @@ func analyzeLoops(prog *ir.Program, ref *core.Reference, copt core.Options, loop
 	out := make([]*core.LoopResult, len(loops))
 	for i, l := range loops {
 		fn := prog.Func(l.Fn)
-		_, fnLoops := cfg.LoopsOf(fn)
-		loop := fnLoops[l.Index]
+		loop := cfg.Loops(prog, fn)[l.Index]
 		out[i] = &core.LoopResult{Fn: l.Fn, Index: l.Index, ID: loop.ID()}
 		core.AnalyzeLoopInto(context.Background(), prog, fn, loop, pur, copt, ref, out[i], nil)
 	}

@@ -332,7 +332,7 @@ func (it *Interp) step(fr *Frame, b *ir.Block, in ir.Instr) error {
 			case ir.KindInt:
 				fr.Locals[i.Dst.Index] = ir.IntVal(-x.I)
 			case ir.KindFloat:
-				fr.Locals[i.Dst.Index] = ir.FloatVal(-x.F)
+				fr.Locals[i.Dst.Index] = ir.FloatVal(-x.Float())
 			default:
 				return fmt.Errorf("neg of %s", x)
 			}
@@ -428,11 +428,11 @@ func (it *Interp) step(fr *Frame, b *ir.Block, in ir.Instr) error {
 				v := it.operand(fr, a)
 				switch v.Kind {
 				case ir.KindString:
-					line = append(line, v.S...)
+					line = append(line, v.Str()...)
 				case ir.KindInt:
 					line = strconv.AppendInt(line, v.I, 10)
 				case ir.KindFloat:
-					line = strconv.AppendFloat(line, v.F, 'g', -1, 64)
+					line = strconv.AppendFloat(line, v.Float(), 'g', -1, 64)
 				case ir.KindBool:
 					if v.I != 0 {
 						line = append(line, "true"...)
@@ -522,40 +522,42 @@ func EvalBinOp(op ir.BinKind, x, y ir.Value) (ir.Value, error) {
 		}
 	}
 	if x.Kind == ir.KindFloat && y.Kind == ir.KindFloat {
+		xf, yf := x.Float(), y.Float()
 		switch op {
 		case ir.Add:
-			return ir.FloatVal(x.F + y.F), nil
+			return ir.FloatVal(xf + yf), nil
 		case ir.Sub:
-			return ir.FloatVal(x.F - y.F), nil
+			return ir.FloatVal(xf - yf), nil
 		case ir.Mul:
-			return ir.FloatVal(x.F * y.F), nil
+			return ir.FloatVal(xf * yf), nil
 		case ir.Div:
-			if y.F == 0 {
+			if yf == 0 {
 				return ir.Value{}, errors.New("float division by zero")
 			}
-			return ir.FloatVal(x.F / y.F), nil
+			return ir.FloatVal(xf / yf), nil
 		case ir.Lt:
-			return ir.BoolVal(x.F < y.F), nil
+			return ir.BoolVal(xf < yf), nil
 		case ir.Le:
-			return ir.BoolVal(x.F <= y.F), nil
+			return ir.BoolVal(xf <= yf), nil
 		case ir.Gt:
-			return ir.BoolVal(x.F > y.F), nil
+			return ir.BoolVal(xf > yf), nil
 		case ir.Ge:
-			return ir.BoolVal(x.F >= y.F), nil
+			return ir.BoolVal(xf >= yf), nil
 		}
 	}
 	if x.Kind == ir.KindString && y.Kind == ir.KindString {
+		xs, ys := x.Str(), y.Str()
 		switch op {
 		case ir.Add:
-			return ir.StringVal(x.S + y.S), nil
+			return ir.StringVal(xs + ys), nil
 		case ir.Lt:
-			return ir.BoolVal(x.S < y.S), nil
+			return ir.BoolVal(xs < ys), nil
 		case ir.Le:
-			return ir.BoolVal(x.S <= y.S), nil
+			return ir.BoolVal(xs <= ys), nil
 		case ir.Gt:
-			return ir.BoolVal(x.S > y.S), nil
+			return ir.BoolVal(xs > ys), nil
 		case ir.Ge:
-			return ir.BoolVal(x.S >= y.S), nil
+			return ir.BoolVal(xs >= ys), nil
 		}
 	}
 	return ir.Value{}, fmt.Errorf("bad operands for %s: %s, %s", op, x, y)
@@ -574,20 +576,20 @@ func EvalBuiltin(name string, args []ir.Value) (ir.Value, error) {
 	case "float":
 		return ir.FloatVal(float64(args[0].I)), nil
 	case "int":
-		return ir.IntVal(int64(args[0].F)), nil
+		return ir.IntVal(int64(args[0].Float())), nil
 	case "sqrt":
-		return ir.FloatVal(math.Sqrt(args[0].F)), nil
+		return ir.FloatVal(math.Sqrt(args[0].Float())), nil
 	case "abs":
 		if args[0].I < 0 {
 			return ir.IntVal(-args[0].I), nil
 		}
 		return args[0], nil
 	case "fabs":
-		return ir.FloatVal(math.Abs(args[0].F)), nil
+		return ir.FloatVal(math.Abs(args[0].Float())), nil
 	case "log":
-		return ir.FloatVal(math.Log(args[0].F)), nil
+		return ir.FloatVal(math.Log(args[0].Float())), nil
 	case "pow":
-		return ir.FloatVal(math.Pow(args[0].F, args[1].F)), nil
+		return ir.FloatVal(math.Pow(args[0].Float(), args[1].Float())), nil
 	}
 	return ir.Value{}, fmt.Errorf("unknown builtin %q", name)
 }

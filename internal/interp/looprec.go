@@ -70,7 +70,7 @@ type activation struct {
 func NewLoopRecorder(prog *ir.Program) *LoopRecorder {
 	r := &LoopRecorder{byFn: map[*ir.Func]*FuncLoops{}}
 	for _, fn := range prog.Funcs {
-		_, loops := cfg.LoopsOf(fn)
+		loops := cfg.Loops(prog, fn)
 		if len(loops) == 0 {
 			continue
 		}

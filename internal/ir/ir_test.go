@@ -1,10 +1,12 @@
 package ir_test
 
 import (
+	"math"
 	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"dca/internal/ir"
 	"dca/internal/irbuild"
@@ -32,6 +34,14 @@ func TestValueEquality(t *testing.T) {
 		{ir.BoolVal(true), ir.BoolVal(true), true},
 		{ir.BoolVal(true), ir.IntVal(1), false},
 		{ir.StringVal("a"), ir.StringVal("a"), true},
+		// Equal texts in distinct objects; the empty string has none.
+		{ir.StringVal(strings.Repeat("ab", 3)), ir.StringVal("ababab"), true},
+		{ir.StringVal("ababab"), ir.StringVal("ababa"), false},
+		{ir.ZeroValue(types.StringType), ir.StringVal(""), true},
+		{ir.StringVal(""), ir.NilVal(), false},
+		{ir.StringVal(""), ir.IntVal(0), false},
+		{ir.FloatVal(math.NaN()), ir.FloatVal(math.NaN()), false},
+		{ir.FloatVal(0), ir.FloatVal(math.Copysign(0, -1)), true},
 		{ir.NilVal(), ir.NilVal(), true},
 		{ir.NilVal(), ir.RefVal(nil), true}, // nil ref == nil
 		{ir.RefVal(o), ir.RefVal(o), true},
@@ -44,12 +54,59 @@ func TestValueEquality(t *testing.T) {
 	}
 }
 
+// TestValueLayout pins the value layout every register, heap element and
+// constant uses: a kind, one 64-bit word and one pointer.
+func TestValueLayout(t *testing.T) {
+	if n := unsafe.Sizeof(ir.Value{}); n != 24 {
+		t.Errorf("sizeof(ir.Value) = %d, want 24", n)
+	}
+	if n := unsafe.Sizeof(ir.Operand{}); n != 32 {
+		t.Errorf("sizeof(ir.Operand) = %d, want 32", n)
+	}
+}
+
+// TestFloatRoundTrip: FloatVal stores a float's IEEE-754 bits and Float
+// returns them unchanged, NaN payloads and signs included.
+func TestFloatRoundTrip(t *testing.T) {
+	bits := []uint64{
+		0x7ff8000000000000, // quiet NaN
+		0xfff8000000000000, // negative quiet NaN
+		0x7ff0000000000001, // signalling NaN, lowest payload
+		0x7ff4000000000abc, // signalling NaN, other payload
+		0x7fffffffffffffff, // NaN, all payload bits
+		0x7ff0000000000000, // +Inf
+		0xfff0000000000000, // -Inf
+		0x0000000000000000, // +0
+		0x8000000000000000, // -0
+		0x0000000000000001, // smallest subnormal
+		0x800fffffffffffff, // largest negative subnormal
+		0x0010000000000000, // smallest normal
+		0x7fefffffffffffff, // largest finite
+		math.Float64bits(math.Pi),
+	}
+	for _, b := range bits {
+		v := ir.FloatVal(math.Float64frombits(b))
+		if v.Kind != ir.KindFloat {
+			t.Errorf("%#016x: kind %v", b, v.Kind)
+		}
+		if got := math.Float64bits(v.Float()); got != b {
+			t.Errorf("%#016x: round trip gives %#016x", b, got)
+		}
+		if uint64(v.I) != b {
+			t.Errorf("%#016x: stored word %#016x", b, uint64(v.I))
+		}
+	}
+}
+
 func TestZeroValues(t *testing.T) {
 	if v := ir.ZeroValue(types.IntType); v.Kind != ir.KindInt || v.I != 0 {
 		t.Errorf("zero int = %v", v)
 	}
-	if v := ir.ZeroValue(types.FloatType); v.Kind != ir.KindFloat {
+	if v := ir.ZeroValue(types.FloatType); v.Kind != ir.KindFloat || math.Float64bits(v.Float()) != 0 {
 		t.Errorf("zero float = %v", v)
+	}
+	if v := ir.ZeroValue(types.StringType); v.Kind != ir.KindString || v.Str() != "" || v.IsNilRef() {
+		t.Errorf("zero string = %v", v)
 	}
 	if v := ir.ZeroValue(&types.Type{Kind: types.Array, Elem: types.IntType}); !v.IsNilRef() {
 		t.Errorf("zero array = %v", v)

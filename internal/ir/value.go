@@ -2,6 +2,7 @@ package ir
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"dca/internal/types"
@@ -20,13 +21,15 @@ const (
 	KindRef // reference to a heap Object
 )
 
-// Value is a MiniC runtime value. Values are small and copied freely; heap
-// state lives behind Ref.
+// Value is a MiniC runtime value: 24 bytes with one pointer word, so
+// registers, heap elements and constants copy cheaply and the garbage
+// collector scans one word per value. Ints and bools (0/1) live in I, and so
+// do floats, as their IEEE-754 bits (read them with Float). Ref points to the
+// heap Object of a KindRef value, or, for KindString, to an immutable Object
+// holding the text in Str (read it with Str); the empty string has a nil Ref.
 type Value struct {
 	Kind ValKind
-	I    int64 // Int; Bool uses 0/1
-	F    float64
-	S    string
+	I    int64
 	Ref  *Object
 }
 
@@ -34,7 +37,10 @@ type Value struct {
 func IntVal(v int64) Value { return Value{Kind: KindInt, I: v} }
 
 // FloatVal makes a floating-point value.
-func FloatVal(v float64) Value { return Value{Kind: KindFloat, F: v} }
+func FloatVal(v float64) Value { return Value{Kind: KindFloat, I: int64(math.Float64bits(v))} }
+
+// Float returns the number a KindFloat value holds, bit for bit as stored.
+func (v Value) Float() float64 { return math.Float64frombits(uint64(v.I)) }
 
 // BoolVal makes a boolean value.
 func BoolVal(v bool) Value {
@@ -44,8 +50,22 @@ func BoolVal(v bool) Value {
 	return Value{Kind: KindBool}
 }
 
-// StringVal makes a string value.
-func StringVal(v string) Value { return Value{Kind: KindString, S: v} }
+// StringVal makes a string value. The text is held in an Object of its own
+// that no one writes; "" needs none.
+func StringVal(v string) Value {
+	if v == "" {
+		return Value{Kind: KindString}
+	}
+	return Value{Kind: KindString, Ref: &Object{Str: v}}
+}
+
+// Str returns the text a KindString value holds.
+func (v Value) Str() string {
+	if v.Ref == nil {
+		return ""
+	}
+	return v.Ref.Str
+}
 
 // RefVal makes a heap reference value.
 func RefVal(o *Object) Value { return Value{Kind: KindRef, Ref: o} }
@@ -71,9 +91,9 @@ func (v Value) Equal(u Value) bool {
 	case KindInt, KindBool:
 		return v.I == u.I
 	case KindFloat:
-		return v.F == u.F
+		return v.Float() == u.Float()
 	case KindString:
-		return v.S == u.S
+		return v.Str() == u.Str()
 	case KindRef:
 		return v.Ref == u.Ref
 	}
@@ -87,14 +107,14 @@ func (v Value) String() string {
 	case KindInt:
 		return fmt.Sprintf("%d", v.I)
 	case KindFloat:
-		return fmt.Sprintf("%g", v.F)
+		return fmt.Sprintf("%g", v.Float())
 	case KindBool:
 		if v.I != 0 {
 			return "true"
 		}
 		return "false"
 	case KindString:
-		return fmt.Sprintf("%q", v.S)
+		return fmt.Sprintf("%q", v.Str())
 	case KindRef:
 		if v.Ref == nil {
 			return "nil"
@@ -123,12 +143,18 @@ func ZeroValue(t *types.Type) Value {
 // one element per field) or an array (TypeName = "[]T"). Object identity —
 // the Go pointer — is the address used by dependence profiling; ID is a
 // stable allocation number used in printing and snapshots.
+//
+// A string value's text lives in an Object too, in Str with every other field
+// zero. Such an Object is never written, never loaded or stored through
+// (those need a KindRef base) and has no identity a program can observe: two
+// strings are equal when their texts are.
 type Object struct {
 	ID       int64
 	TypeName string
 	Struct   *types.StructInfo // nil for arrays
 	Elem     *types.Type       // element type for arrays, nil for structs
 	Elems    []Value
+	Str      string // a KindString value's text
 }
 
 // NewStructObject allocates a zeroed struct instance.

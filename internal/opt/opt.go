@@ -180,7 +180,7 @@ func fold(fn *ir.Func) int {
 					b.Instrs[idx] = &ir.Mov{Dst: i.Dst, Src: ir.ConstOp(ir.IntVal(-x.I))}
 					n++
 				case i.Op == ir.Neg && x.Kind == ir.KindFloat:
-					b.Instrs[idx] = &ir.Mov{Dst: i.Dst, Src: ir.ConstOp(ir.FloatVal(-x.F))}
+					b.Instrs[idx] = &ir.Mov{Dst: i.Dst, Src: ir.ConstOp(ir.FloatVal(-x.Float()))}
 					n++
 				case i.Op == ir.Not && x.Kind == ir.KindBool:
 					b.Instrs[idx] = &ir.Mov{Dst: i.Dst, Src: ir.ConstOp(ir.BoolVal(!x.Bool()))}

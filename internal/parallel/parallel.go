@@ -99,7 +99,7 @@ func combinerFor(op ir.BinKind, t ir.ValKind) (*combiner, bool) {
 			},
 			combine: func(g, p ir.Value) ir.Value {
 				if t == ir.KindFloat {
-					return ir.FloatVal(g.F + p.F)
+					return ir.FloatVal(g.Float() + p.Float())
 				}
 				return ir.IntVal(g.I + p.I)
 			},
@@ -114,7 +114,7 @@ func combinerFor(op ir.BinKind, t ir.ValKind) (*combiner, bool) {
 			},
 			combine: func(g, p ir.Value) ir.Value {
 				if t == ir.KindFloat {
-					return ir.FloatVal(g.F * p.F)
+					return ir.FloatVal(g.Float() * p.Float())
 				}
 				return ir.IntVal(g.I * p.I)
 			},

@@ -283,7 +283,7 @@ func (p *prover) hermeticFn(name string) bool {
 	if ok {
 		// Loop-free bodies terminate; loops (even pure ones) could run
 		// past the dynamic stage's budgets, which a proof must not outlive.
-		if _, loops := cfg.LoopsOf(fn); len(loops) > 0 {
+		if len(cfg.Loops(p.prog, fn)) > 0 {
 			ok = false
 		}
 	}

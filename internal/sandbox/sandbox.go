@@ -166,9 +166,10 @@ func Run(ctx context.Context, prog *ir.Program, cfg interp.Config, lim Limits, i
 // Outcome: traps and output are strings, verification state is digests, and
 // step/block counts are copied above — so recycling is safe unless main
 // itself returned a heap reference, in which case the machine is simply
-// dropped. Panicking runs never reach here and are dropped too.
+// dropped (a returned string's text is not carved from the arenas). Panicking
+// runs never reach here and are dropped too.
 func release(it executor, ret ir.Value) {
-	if ret.Ref != nil {
+	if ret.Kind == ir.KindRef && ret.Ref != nil {
 		return
 	}
 	if r, ok := it.(interface{ Release() }); ok {

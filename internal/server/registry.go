@@ -25,8 +25,7 @@ type LoopRef struct {
 func EnumerateLoops(prog *ir.Program) []LoopRef {
 	var refs []LoopRef
 	for _, fn := range prog.Funcs {
-		_, loops := cfg.LoopsOf(fn)
-		for _, loop := range loops {
+		for _, loop := range cfg.Loops(prog, fn) {
 			refs = append(refs, LoopRef{Fn: fn.Name, Index: loop.Index})
 		}
 	}

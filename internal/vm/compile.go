@@ -2,7 +2,6 @@ package vm
 
 import (
 	"fmt"
-	"math"
 
 	"dca/internal/ir"
 	"dca/internal/types"
@@ -192,12 +191,12 @@ func compile(prog *ir.Program) *progCode {
 	return p
 }
 
-// constKey interns constants by exact bits: floats by their IEEE bit
-// pattern so 0.0 and -0.0 stay distinct.
+// constKey interns constants by exact bits (a float's word is its IEEE bit
+// pattern, so 0.0 and -0.0 stay distinct) and strings by their text, which
+// each string constant holds in an object of its own.
 type constKey struct {
 	kind ir.ValKind
 	i    int64
-	f    uint64
 	s    string
 	ref  *ir.Object
 }
@@ -259,7 +258,10 @@ func (c *fnCompiler) operand(o ir.Operand) int32 {
 		return int32(o.Local.Index)
 	}
 	v := o.Const
-	k := constKey{kind: v.Kind, i: v.I, f: math.Float64bits(v.F), s: v.S, ref: v.Ref}
+	k := constKey{kind: v.Kind, i: v.I, ref: v.Ref}
+	if v.Kind == ir.KindString {
+		k.s, k.ref = v.Str(), nil
+	}
 	if i, ok := c.consts[k]; ok {
 		return ^i
 	}

@@ -419,7 +419,7 @@ func (m *Machine) exec(fc *fnCode, fr *interp.Frame, regs []ir.Value) (ir.Value,
 			case ir.KindInt:
 				regs[in.a] = ir.IntVal(-x.I)
 			case ir.KindFloat:
-				regs[in.a] = ir.FloatVal(-x.F)
+				regs[in.a] = ir.FloatVal(-x.Float())
 			default:
 				return ir.Value{}, wrap(fc, fc.in1Of(pc), fmt.Errorf("neg of %s", x))
 			}
@@ -619,11 +619,11 @@ func (m *Machine) exec(fc *fnCode, fr *interp.Frame, regs []ir.Value) (ir.Value,
 					v := get(regs, consts, o)
 					switch v.Kind {
 					case ir.KindString:
-						line = append(line, v.S...)
+						line = append(line, v.Str()...)
 					case ir.KindInt:
 						line = strconv.AppendInt(line, v.I, 10)
 					case ir.KindFloat:
-						line = strconv.AppendFloat(line, v.F, 'g', -1, 64)
+						line = strconv.AppendFloat(line, v.Float(), 'g', -1, 64)
 					case ir.KindBool:
 						if v.I != 0 {
 							line = append(line, "true"...)
@@ -876,25 +876,26 @@ func binop(op ir.BinKind, x, y ir.Value) (ir.Value, error) {
 			return ir.BoolVal(x.I >= y.I), nil
 		}
 	} else if x.Kind == ir.KindFloat && y.Kind == ir.KindFloat {
+		xf, yf := x.Float(), y.Float()
 		switch op {
 		case ir.Add:
-			return ir.FloatVal(x.F + y.F), nil
+			return ir.FloatVal(xf + yf), nil
 		case ir.Sub:
-			return ir.FloatVal(x.F - y.F), nil
+			return ir.FloatVal(xf - yf), nil
 		case ir.Mul:
-			return ir.FloatVal(x.F * y.F), nil
+			return ir.FloatVal(xf * yf), nil
 		case ir.Div:
-			if y.F != 0 {
-				return ir.FloatVal(x.F / y.F), nil
+			if yf != 0 {
+				return ir.FloatVal(xf / yf), nil
 			}
 		case ir.Lt:
-			return ir.BoolVal(x.F < y.F), nil
+			return ir.BoolVal(xf < yf), nil
 		case ir.Le:
-			return ir.BoolVal(x.F <= y.F), nil
+			return ir.BoolVal(xf <= yf), nil
 		case ir.Gt:
-			return ir.BoolVal(x.F > y.F), nil
+			return ir.BoolVal(xf > yf), nil
 		case ir.Ge:
-			return ir.BoolVal(x.F >= y.F), nil
+			return ir.BoolVal(xf >= yf), nil
 		}
 	}
 	return interp.EvalBinOp(op, x, y)
