@@ -1,22 +1,26 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
-	"regexp"
-	"strconv"
 	"strings"
 	"syscall"
 	"testing"
 	"time"
+
+	"dca/internal/obs"
 )
 
-// killResumeSrc has four quick loops followed by one slow nested loop, so a
-// SIGKILL landing after the first journal records arrive is guaranteed to
-// interrupt the suite before the slow loop's verdict is journaled.
+// killResumeSrc has two loops the prover decides at once, then loops whose
+// golden run and replays each execute the whole program, including the
+// slow nest. At -j 1 a SIGKILL landing after the first two cache entries
+// appear is therefore guaranteed to interrupt the suite mid-way.
 const killResumeSrc = `
 func fill(a []int, n int) {
 	for (var i int = 0; i < n; i++) { a[i] = i * 7; }
@@ -61,24 +65,54 @@ func runAnalyzeChild(t *testing.T, args ...string) *exec.Cmd {
 	return cmd
 }
 
-// countRecords returns how many complete journal lines past the header have
-// reached the file.
-func countRecords(path string) int {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return 0
-	}
-	n := bytes.Count(data, []byte("\n")) - 1 // header line
-	if n < 0 {
-		return 0
-	}
+// countEntries returns how many cache entries sit under their final names
+// in dir. A writer's temp file (".tmp-*") is not an entry until its rename.
+func countEntries(dir string) int {
+	n := 0
+	filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err == nil && d.Type().IsRegular() && !strings.HasPrefix(d.Name(), ".tmp-") {
+			n++
+		}
+		return nil
+	})
 	return n
 }
 
-// TestKillResume is the end-to-end durability contract: SIGKILL a journaled
-// analysis mid-suite, rerun with -resume, and the resumed report is
-// byte-identical to an uninterrupted run — with the already-verdicted loops
-// skipped, not recomputed.
+// cacheLookups counts the verdict-cache hits and misses in a JSONL trace.
+func cacheLookups(t *testing.T, path string) (hits, misses int) {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
+	for sc.Scan() {
+		var ev obs.Event
+		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+			t.Fatalf("trace line %q: %v", sc.Text(), err)
+		}
+		if ev.Stage != obs.StageCache {
+			continue
+		}
+		switch ev.Outcome {
+		case obs.OutcomeHit:
+			hits++
+		case obs.OutcomeMiss:
+			misses++
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return hits, misses
+}
+
+// TestKillResume is the verdict cache's crash contract: SIGKILL an
+// analysis with a -cache-dir mid-suite, rerun it with the same -cache-dir,
+// and the rerun's report is byte-identical to an uncached run — with the
+// loops finished before the kill served from the cache, not recomputed.
 func TestKillResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns helper processes")
@@ -88,24 +122,25 @@ func TestKillResume(t *testing.T) {
 	if err := os.WriteFile(src, []byte(killResumeSrc), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	wal := filepath.Join(dir, "run.wal")
-	// -j 1 completes loops in order; -journal-sync 1 makes every record
-	// durable the moment it is appended, so the kill can land anywhere.
-	args := []string{"-j", "1", "-journal-sync", "1", "-journal", wal, src}
+	cacheDir := filepath.Join(dir, "cache")
+	// -j 1 completes loops in order, and the cache renames each loop's
+	// fsynced record into place as the loop finishes.
+	args := []string{"-j", "1", "-cache-dir", cacheDir, src}
 
 	victim := runAnalyzeChild(t, args...)
 	victim.Stdout, victim.Stderr = new(bytes.Buffer), new(bytes.Buffer)
 	if err := victim.Start(); err != nil {
 		t.Fatal(err)
 	}
-	// Wait for at least two durable records, then kill. The slow fifth loop
-	// keeps the child busy for far longer than the poll granularity, so the
+	// Wait for at least two entries, then kill. The third loop's replays
+	// keep the child busy for far longer than the poll granularity, so the
 	// suite cannot have finished.
-	deadline := time.Now().Add(30 * time.Second)
-	for countRecords(wal) < 2 {
+	deadline := time.Now().Add(60 * time.Second)
+	for countEntries(cacheDir) < 2 {
 		if time.Now().After(deadline) {
 			victim.Process.Kill()
-			t.Fatalf("no journal records after 30s; child stderr: %s", victim.Stderr)
+			victim.Wait()
+			t.Fatalf("fewer than 2 cache entries after 60s; child stderr: %s", victim.Stderr)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -113,41 +148,33 @@ func TestKillResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	victim.Wait() // expected: killed
-	killed := countRecords(wal)
-	if killed < 2 {
-		t.Fatalf("journal lost durable records after SIGKILL: %d left", killed)
+
+	// Rerun on the same cache: the finished loops are hits, the rest run.
+	trace := filepath.Join(dir, "rerun.jsonl")
+	var rerunOut, rerunErr bytes.Buffer
+	rerun := runAnalyzeChild(t, append([]string{"-trace", trace}, args...)...)
+	rerun.Stdout, rerun.Stderr = &rerunOut, &rerunErr
+	if err := rerun.Run(); err != nil {
+		t.Fatalf("rerun failed: %v\nstderr: %s", err, rerunErr.String())
+	}
+	hits, misses := cacheLookups(t, trace)
+	t.Logf("rerun: %d cache hits, %d misses", hits, misses)
+	if hits < 2 {
+		t.Errorf("rerun served %d loops from the cache, want >= 2 (the pre-kill entries)", hits)
+	}
+	if misses < 1 {
+		t.Errorf("rerun missed the cache %d times, want >= 1 (the kill landed mid-suite)", misses)
 	}
 
-	// Resume: must skip the journaled loops and finish the rest.
-	var resumedOut, resumedErr bytes.Buffer
-	resumed := runAnalyzeChild(t, append([]string{"-resume"}, args...)...)
-	resumed.Stdout, resumed.Stderr = &resumedOut, &resumedErr
-	if err := resumed.Run(); err != nil {
-		t.Fatalf("resume run failed: %v\nstderr: %s", err, resumedErr.String())
-	}
-	m := regexp.MustCompile(`resumed (\d+) loops, appended (\d+) records`).
-		FindStringSubmatch(resumedErr.String())
-	if m == nil {
-		t.Fatalf("resume summary missing from stderr: %s", resumedErr.String())
-	}
-	skipped, _ := strconv.Atoi(m[1])
-	appended, _ := strconv.Atoi(m[2])
-	if skipped < 2 {
-		t.Errorf("resume skipped %d loops, want >= 2 (the pre-kill records)", skipped)
-	}
-	if appended < 1 {
-		t.Errorf("resume appended %d records, want >= 1 (the kill landed mid-suite)", appended)
-	}
-
-	// An uninterrupted run of the same program is the reference.
+	// An uninterrupted, uncached run of the same program is the reference.
 	var freshOut, freshErr bytes.Buffer
 	fresh := runAnalyzeChild(t, "-j", "1", src)
 	fresh.Stdout, fresh.Stderr = &freshOut, &freshErr
 	if err := fresh.Run(); err != nil {
 		t.Fatalf("fresh run failed: %v\nstderr: %s", err, freshErr.String())
 	}
-	if !bytes.Equal(resumedOut.Bytes(), freshOut.Bytes()) {
-		t.Errorf("resumed report differs from uninterrupted run:\n-- resumed --\n%s\n-- fresh --\n%s",
-			resumedOut.String(), freshOut.String())
+	if !bytes.Equal(rerunOut.Bytes(), freshOut.Bytes()) {
+		t.Errorf("rerun report differs from uninterrupted run:\n-- rerun --\n%s\n-- fresh --\n%s",
+			rerunOut.String(), freshOut.String())
 	}
 }

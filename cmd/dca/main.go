@@ -5,8 +5,7 @@
 //
 // Usage:
 //
-//	dca analyze [-baselines] [-schedules n] [-json] [-cache-dir d]
-//	            [-journal run.wal] [-resume] file.mc
+//	dca analyze [-baselines] [-schedules n] [-json] [-cache-dir d] file.mc
 //	dca run file.mc
 //	dca ir file.mc
 //	dca parallel -fn name -loop k [-workers n] file.mc
@@ -31,14 +30,12 @@ import (
 	"dca/internal/depprof"
 	"dca/internal/discopop"
 	"dca/internal/engine"
-	"dca/internal/fingerprint"
 	"dca/internal/icc"
 	"dca/internal/idioms"
 	"dca/internal/instrument"
 	"dca/internal/interp"
 	"dca/internal/ir"
 	"dca/internal/irbuild"
-	"dca/internal/journal"
 	"dca/internal/obs"
 	"dca/internal/opt"
 	"dca/internal/parallel"
@@ -135,14 +132,13 @@ commands:
   analyze [-j n] [-baselines] [-schedules n] [-timeout d] [-max-steps n]
           [-retry n] [-debug-snapshots] [-json]
           [-stop-after n] [-no-footprint] [-no-prove] [-no-vm]
-          [-journal run.wal] [-resume] [-journal-sync n]
-          [-trace out.jsonl] [-cache-dir d] [-cache-mem bytes] [-no-cache]
+          [-trace out.jsonl] [-cache-dir d] [-cache-mem bytes]
           [-inject-kind k -inject-at-step n|-inject-at-intrinsic n
            -inject-fn f -inject-loop k] file.mc  run DCA on every loop
   serve [-addr host:port] [-j n] [-max-concurrent n] [-max-queue n]
         [-queue-timeout d] [-cache-dir d] [-cache-mem bytes] [-no-cache]
         [-schedules n] [-timeout d] [-max-steps n] [-retry n]
-        [-max-source-bytes n] [-drain-timeout d] [-run-dir d]
+        [-max-source-bytes n] [-drain-timeout d]
         [-trace out.jsonl]                       run the analysis service
                                                  (metrics at GET /metrics)
   run [-opt] [-timeout d] [-max-steps n] [-no-vm] file.mc
@@ -176,12 +172,8 @@ func cmdAnalyze(args []string) error {
 	jsonOut := fs.Bool("json", false, "emit the verdict report as JSON")
 	cacheDir := fs.String("cache-dir", "", "persistent verdict-cache directory (empty = no cache)")
 	cacheMem := fs.Int64("cache-mem", 0, "verdict-cache memory budget in bytes (0 = default)")
-	noCache := fs.Bool("no-cache", false, "disable the verdict cache")
 	jobs := fs.Int("j", runtime.GOMAXPROCS(0), "concurrent analysis workers (1 = sequential)")
 	schedules := fs.Int("schedules", 3, "number of random permutation schedules (plus reverse)")
-	journalPath := fs.String("journal", "", "write-ahead run journal file (crash-durable verdict log)")
-	resume := fs.Bool("resume", false, "replay -journal and skip already-verdicted loops")
-	syncEvery := fs.Int("journal-sync", 0, "journal fsync batch size (0 = default, 1 = every record)")
 	tracePath := fs.String("trace", "", "append per-loop trace events to this JSONL file")
 	debugSnapshots := fs.Bool("debug-snapshots", false, "keep string snapshots alongside digests for mismatch diagnosis")
 	stopAfter := fs.Int("stop-after", 0, "stop replaying after this many consecutive agreeing schedules (0 = test all)")
@@ -204,12 +196,6 @@ func cmdAnalyze(args []string) error {
 	}
 	if *jsonOut && *baselines {
 		return fmt.Errorf("analyze: -json and -baselines are mutually exclusive")
-	}
-	if *resume && *journalPath == "" {
-		return fmt.Errorf("analyze: -resume needs -journal")
-	}
-	if *journalPath != "" && *injectKind != "" {
-		return fmt.Errorf("analyze: -journal cannot be combined with fault injection (injected verdicts must never be journaled)")
 	}
 	prog, err := compile(fs.Arg(0))
 	if err != nil {
@@ -245,9 +231,10 @@ func cmdAnalyze(args []string) error {
 		}
 	}
 	// The cache only pays off across invocations, so it is tied to a
-	// persistent directory; -no-cache wins over -cache-dir.
+	// persistent directory. Each loop's record reaches the disk as the loop
+	// finishes, so a rerun of a killed analysis skips its finished loops.
 	var diskCache *cache.Cache
-	if *cacheDir != "" && !*noCache {
+	if *cacheDir != "" {
 		c, err := cache.Open(*cacheDir, *cacheMem, core.CacheRecordVersion)
 		if err != nil {
 			return fmt.Errorf("analyze: open cache: %w", err)
@@ -269,48 +256,6 @@ func cmdAnalyze(args []string) error {
 			diskCache.SetTrace(traceSink)
 		}
 	}
-	eopt := engine.Options{Core: opts, Workers: *jobs}
-	var jnl *journal.Journal
-	if *journalPath != "" {
-		// The run key ties the journal to this program and configuration:
-		// a journal from a different source file or schedule set is
-		// discarded on open, never replayed into wrong verdicts.
-		runKey := fingerprint.Run(prog, fingerprint.Inputs{
-			Schedules:      scheds,
-			Limits:         sandbox.Limits{MaxSteps: *maxSteps, Timeout: *timeout},
-			Retries:        *retry,
-			DebugSnapshots: *debugSnapshots,
-			StopAfter:      *stopAfter,
-			NoFootprint:    *noFootprint,
-			NoProve:        *noProve,
-		}).String()
-		j, rec, err := journal.Open(*journalPath, runKey, journal.Options{
-			Version:   core.CacheRecordVersion,
-			SyncEvery: *syncEvery,
-			Resume:    *resume,
-		})
-		if err != nil {
-			return fmt.Errorf("analyze: %w", err)
-		}
-		defer j.Close()
-		jnl = j
-		eopt.Journal = journalSink{j}
-		if *resume {
-			if rec.Discarded != "" {
-				fmt.Fprintf(os.Stderr, "dca: journal discarded (%s); starting fresh\n", rec.Discarded)
-			}
-			if rec.TornBytes > 0 {
-				fmt.Fprintf(os.Stderr, "dca: journal: dropped %d torn trailing bytes\n", rec.TornBytes)
-			}
-		}
-		if len(rec.Records) > 0 {
-			eopt.Resume = make(map[engine.LoopKey][]byte, len(rec.Records))
-			for _, r := range rec.Records {
-				// Append order; a duplicate loop keeps the latest record.
-				eopt.Resume[engine.LoopKey{Fn: r.Fn, Index: r.Index}] = []byte(r.Data)
-			}
-		}
-	}
 	// The analysis is scoped to the process signals: Ctrl-C stops replays
 	// promptly instead of waiting out their budgets.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -328,14 +273,7 @@ func cmdAnalyze(args []string) error {
 	if err != nil {
 		return err
 	}
-	rep := engine.AnalyzeReference(ctx, prog, ref, eopt)
-	if jnl != nil {
-		fmt.Fprintf(os.Stderr, "dca: journal: resumed %d loops, appended %d records\n",
-			rep.ResumedLoops(), jnl.Appended())
-		if jerr := jnl.Err(); jerr != nil {
-			fmt.Fprintf(os.Stderr, "dca: warning: journal degraded, this run is not resumable: %v\n", jerr)
-		}
-	}
+	rep := engine.AnalyzeReference(ctx, prog, ref, engine.Options{Core: opts, Workers: *jobs})
 	if traceSink != nil {
 		if terr := traceSink.Err(); terr != nil {
 			return fmt.Errorf("analyze: write trace: %w", terr)
@@ -417,14 +355,6 @@ func printStatic(rep *core.Report, verdict func(fn string, idx int) (bool, []str
 	}
 }
 
-// journalSink adapts *journal.Journal to the engine's JournalSink, keeping
-// the engine decoupled from the journal package.
-type journalSink struct{ j *journal.Journal }
-
-func (s journalSink) Record(fn string, index int, data []byte) error {
-	return s.j.Append(fn, index, data)
-}
-
 // parseInjectKind maps a -inject-kind flag value to a sandbox trap kind.
 func parseInjectKind(s string) (sandbox.Kind, error) {
 	switch s {
@@ -455,7 +385,6 @@ func cmdServe(args []string) error {
 	queueTimeout := fs.Duration("queue-timeout", 0, "max wait for an analysis slot before shedding (0 = 10s)")
 	drain := fs.Duration("drain-timeout", 15*time.Second, "in-flight drain window on shutdown")
 	tracePath := fs.String("trace", "", "append per-loop trace events to this JSONL file")
-	runDir := fs.String("run-dir", "", "directory for async-run write-ahead journals (empty = no journals)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -473,7 +402,6 @@ func cmdServe(args []string) error {
 		Retries:        *retry,
 		Schedules:      *schedules,
 		DrainTimeout:   *drain,
-		RunDir:         *runDir,
 	}
 	if *tracePath != "" {
 		f, err := os.OpenFile(*tracePath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)

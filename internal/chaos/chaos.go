@@ -1,7 +1,8 @@
 // Package chaos is the storage layer's fault boundary: a narrow filesystem
-// interface (FS) that internal/cache and internal/journal perform every
-// disk operation through, plus fault-injecting implementations that make
-// crash recovery a tested property instead of an assumed one.
+// interface (FS) that the verdict cache's disk tier (internal/cache)
+// performs every disk operation through, plus fault-injecting
+// implementations that make crash recovery a tested property instead of an
+// assumed one.
 //
 // OS is the production implementation — a zero-cost delegation to package
 // os. Faulty wraps any FS with a deterministic fault plan: the Nth eligible
@@ -15,7 +16,7 @@
 // plan. A property test enumerates fault points by first counting a clean
 // run's operations (CountOps), then re-running the workload once per index
 // with the fault planted there, and asserting the reopened store lost at
-// most its unsynced tail and never serves corrupt data.
+// most the entry being written and never serves corrupt data.
 package chaos
 
 import (
@@ -25,6 +26,7 @@ import (
 	"io/fs"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"sync"
 	"syscall"
 )
@@ -38,23 +40,17 @@ type File interface {
 	Name() string
 	// Sync flushes the file to stable storage.
 	Sync() error
-	// Truncate cuts the file to size bytes (recovery truncates torn tails).
-	Truncate(size int64) error
 }
 
 // FS is the filesystem surface the storage layer runs on. Every operation
-// the verdict cache and the run journal perform goes through it, so a
-// fault-injecting implementation can fail any of them deterministically.
+// the verdict cache performs goes through it, so a fault-injecting
+// implementation can fail any of them deterministically.
 type FS interface {
 	MkdirAll(path string, perm os.FileMode) error
-	// OpenFile opens name like os.OpenFile; the storage layer uses it for
-	// append-mode journal writes.
-	OpenFile(name string, flag int, perm os.FileMode) (File, error)
 	// CreateTemp creates a fresh temp file in dir like os.CreateTemp.
 	CreateTemp(dir, pattern string) (File, error)
 	ReadFile(name string) ([]byte, error)
 	ReadDir(name string) ([]fs.DirEntry, error)
-	Stat(name string) (fs.FileInfo, error)
 	Rename(oldpath, newpath string) error
 	Remove(name string) error
 }
@@ -66,17 +62,11 @@ type OS struct{}
 
 func (OS) MkdirAll(path string, perm os.FileMode) error { return os.MkdirAll(path, perm) }
 
-func (OS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
-	return os.OpenFile(name, flag, perm)
-}
-
 func (OS) CreateTemp(dir, pattern string) (File, error) { return os.CreateTemp(dir, pattern) }
 
 func (OS) ReadFile(name string) ([]byte, error) { return os.ReadFile(name) }
 
 func (OS) ReadDir(name string) ([]fs.DirEntry, error) { return os.ReadDir(name) }
-
-func (OS) Stat(name string) (fs.FileInfo, error) { return os.Stat(name) }
 
 func (OS) Rename(oldpath, newpath string) error { return os.Rename(oldpath, newpath) }
 
@@ -125,15 +115,15 @@ func (k Kind) err(op, name string) error {
 type Plan struct {
 	// FailAt is the 1-based index of the eligible operation that fails
 	// (0 = never). Eligible operations are the mutating ones — mkdir,
-	// create, open-for-write, write, sync, rename, remove, truncate — plus,
-	// when Reads is set, read-path operations.
+	// create, write, sync, rename, remove — plus, when Reads is set,
+	// read-path operations.
 	FailAt int64
 	// Kind is the fault to inject.
 	Kind Kind
 	// Sticky makes every eligible operation after FailAt fail too — a disk
 	// that died, not one that hiccuped.
 	Sticky bool
-	// Reads includes ReadFile/ReadDir/Stat among the eligible operations.
+	// Reads includes ReadFile/ReadDir among the eligible operations.
 	Reads bool
 }
 
@@ -198,17 +188,6 @@ func (f *Faulty) MkdirAll(path string, perm os.FileMode) error {
 	return f.Inner.MkdirAll(path, perm)
 }
 
-func (f *Faulty) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
-	if f.step(false) {
-		return nil, f.plan.Kind.err("open", name)
-	}
-	file, err := f.Inner.OpenFile(name, flag, perm)
-	if err != nil {
-		return nil, err
-	}
-	return &faultyFile{inner: file, fs: f}, nil
-}
-
 func (f *Faulty) CreateTemp(dir, pattern string) (File, error) {
 	if f.step(false) {
 		return nil, f.plan.Kind.err("create", dir)
@@ -234,13 +213,6 @@ func (f *Faulty) ReadDir(name string) ([]fs.DirEntry, error) {
 	return f.Inner.ReadDir(name)
 }
 
-func (f *Faulty) Stat(name string) (fs.FileInfo, error) {
-	if f.step(true) {
-		return nil, f.plan.Kind.err("stat", name)
-	}
-	return f.Inner.Stat(name)
-}
-
 func (f *Faulty) Rename(oldpath, newpath string) error {
 	if f.step(false) {
 		if f.plan.Kind == TornRename {
@@ -252,19 +224,23 @@ func (f *Faulty) Rename(oldpath, newpath string) error {
 }
 
 // tearRename simulates a crash inside a non-atomic rename: the destination
-// receives a prefix of the source under its final name. Best effort — the
-// point is to plant a plausible corruption for recovery to catch.
+// receives a prefix of the source under its final name. It writes through
+// Inner directly, so the tear itself is neither counted nor faulted. Best
+// effort — the point is to plant a plausible corruption for recovery to
+// catch.
 func (f *Faulty) tearRename(oldpath, newpath string) {
 	data, err := f.Inner.ReadFile(oldpath)
 	if err != nil {
 		return
 	}
-	file, err := f.Inner.OpenFile(newpath, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	tmp, err := f.Inner.CreateTemp(filepath.Dir(newpath), ".tmp-*")
 	if err != nil {
 		return
 	}
-	file.Write(data[:len(data)/2])
-	file.Close()
+	_, werr := tmp.Write(data[:len(data)/2])
+	if cerr := tmp.Close(); werr != nil || cerr != nil || f.Inner.Rename(tmp.Name(), newpath) != nil {
+		f.Inner.Remove(tmp.Name())
+	}
 }
 
 func (f *Faulty) Remove(name string) error {
@@ -274,7 +250,7 @@ func (f *Faulty) Remove(name string) error {
 	return f.Inner.Remove(name)
 }
 
-// faultyFile routes writes, syncs, and truncates through the plan. Close is
+// faultyFile routes writes and syncs through the plan. Close is
 // never injected: a failing close adds no recovery case the write faults
 // don't already cover, and failing it would leak descriptors in tests.
 type faultyFile struct {
@@ -302,13 +278,6 @@ func (f *faultyFile) Sync() error {
 		return f.fs.plan.Kind.err("sync", f.inner.Name())
 	}
 	return f.inner.Sync()
-}
-
-func (f *faultyFile) Truncate(size int64) error {
-	if f.fs.step(false) {
-		return f.fs.plan.Kind.err("truncate", f.inner.Name())
-	}
-	return f.inner.Truncate(size)
 }
 
 // CountOps runs workload against a counting (never-failing) wrapper of
@@ -371,17 +340,6 @@ func (m *Monkey) MkdirAll(path string, perm os.FileMode) error {
 	return m.Inner.MkdirAll(path, perm)
 }
 
-func (m *Monkey) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
-	if k, fail := m.roll(false); fail {
-		return nil, k.err("open", name)
-	}
-	file, err := m.Inner.OpenFile(name, flag, perm)
-	if err != nil {
-		return nil, err
-	}
-	return &monkeyFile{inner: file, fs: m}, nil
-}
-
 func (m *Monkey) CreateTemp(dir, pattern string) (File, error) {
 	if k, fail := m.roll(false); fail {
 		return nil, k.err("create", dir)
@@ -405,13 +363,6 @@ func (m *Monkey) ReadDir(name string) ([]fs.DirEntry, error) {
 		return nil, k.err("readdir", name)
 	}
 	return m.Inner.ReadDir(name)
-}
-
-func (m *Monkey) Stat(name string) (fs.FileInfo, error) {
-	if k, fail := m.roll(true); fail {
-		return nil, k.err("stat", name)
-	}
-	return m.Inner.Stat(name)
 }
 
 func (m *Monkey) Rename(oldpath, newpath string) error {
@@ -457,11 +408,4 @@ func (f *monkeyFile) Sync() error {
 		return k.err("sync", f.inner.Name())
 	}
 	return f.inner.Sync()
-}
-
-func (f *monkeyFile) Truncate(size int64) error {
-	if k, fail := f.fs.roll(false); fail {
-		return k.err("truncate", f.inner.Name())
-	}
-	return f.inner.Truncate(size)
 }

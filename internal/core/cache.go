@@ -28,9 +28,9 @@ const (
 	// ProvenanceCached: the dynamic-stage outcome was served from the
 	// verdict cache; no golden run or replay executed.
 	ProvenanceCached = "cached"
-	// ProvenanceJournaled: the whole loop outcome was replayed from a
-	// write-ahead run journal (`dca analyze -resume`); neither the static
-	// nor the dynamic stage ran in this process.
+	// ProvenanceJournaled: no analysis produces this value. It stays
+	// declared only because perfbench/layers.go compares provenance against
+	// it, and goes once a benchmark change drops that comparison.
 	ProvenanceJournaled = "journaled"
 	// ProvenanceFootprint: the reference run showed the loop's iterations
 	// touch pairwise-disjoint heap cells, so the Commutative verdict was
@@ -137,26 +137,6 @@ func decodeCachedVerdict(data []byte, res *LoopResult) bool {
 	res.SkippedFootprint = cv.SkippedFootprint
 	res.SkippedProve = cv.SkippedProve
 	return true
-}
-
-// EncodeLoopRecord serializes a completed loop outcome in the shared
-// verdict-record schema (CacheRecordVersion) — the payload format of both
-// the verdict cache and the write-ahead run journal. Returns nil for a
-// result that must not be persisted.
-func EncodeLoopRecord(res *LoopResult) []byte {
-	if res.Verdict == Cancelled {
-		// A cancelled loop is a statement about the caller's context, not
-		// the program; persisting it would resume into a hole.
-		return nil
-	}
-	return encodeCachedVerdict(res)
-}
-
-// DecodeLoopRecord restores a persisted loop outcome into res, reporting
-// false — and leaving res untouched, usable for a fresh computation — when
-// the record does not decode to a plausible verdict.
-func DecodeLoopRecord(data []byte, res *LoopResult) bool {
-	return decodeCachedVerdict(data, res)
 }
 
 // cacheableVerdict reports whether a computed outcome may be stored.

@@ -148,11 +148,14 @@ func (c *countingCache) Put(key string, val []byte) {
 }
 
 // TestUndecodableRecordRecomputes: a cache serving garbage bytes must
-// degrade to a computed verdict, never panic or misreport.
+// degrade to a computed verdict, never panic or misreport. Verdict 7 is
+// Cancelled, which no writer stores: such a record is forged.
 func TestUndecodableRecordRecomputes(t *testing.T) {
 	clean := analyzeCached(t, cacheSrc, core.Options{})
 
-	for _, poison := range [][]byte{[]byte("not json"), []byte(`{"verdict": 99}`), []byte(`{"verdict": -1}`)} {
+	for _, poison := range [][]byte{
+		[]byte("not json"), []byte(`{"verdict": 99}`), []byte(`{"verdict": -1}`), []byte(`{"verdict": 7}`),
+	} {
 		pc := newCountingCache()
 		pc.poison = poison
 		rep := analyzeCached(t, cacheSrc, core.Options{Cache: pc})

@@ -93,8 +93,9 @@ type LoopResult struct {
 	// "panic") behind a trap-derived verdict; "" when no trap fired.
 	TrapKind string
 	// Provenance records how the dynamic-stage outcome was obtained:
-	// ProvenanceComputed (replays ran), ProvenanceCached (served from the
-	// verdict cache), or ProvenanceJournaled (replayed from a run journal).
+	// ProvenanceComputed (analyzed in this run), ProvenanceCached (served
+	// from the verdict cache), ProvenanceFootprint (decided from the
+	// reference run's footprint), or ProvenanceProved (static proof).
 	Provenance string
 	// Replays counts the instrumented executions this analysis consumed —
 	// the golden run plus every schedule replay folded into the verdict
@@ -214,17 +215,6 @@ func (r *Report) CachedLoops() int {
 	n := 0
 	for _, l := range r.Loops {
 		if l.Provenance == ProvenanceCached {
-			n++
-		}
-	}
-	return n
-}
-
-// ResumedLoops returns how many loops were replayed from a run journal.
-func (r *Report) ResumedLoops() int {
-	n := 0
-	for _, l := range r.Loops {
-		if l.Provenance == ProvenanceJournaled {
 			n++
 		}
 	}

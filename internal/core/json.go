@@ -44,7 +44,6 @@ type ReportJSON struct {
 	TotalLoops     int            `json:"total_loops"`
 	Commutative    int            `json:"commutative"`
 	CachedLoops    int            `json:"cached_loops"`
-	ResumedLoops   int            `json:"resumed_loops,omitempty"`
 	ProvedLoops    int            `json:"proved_loops,omitempty"`
 	Replays        int            `json:"replays"`
 	ElapsedSeconds float64        `json:"elapsed_seconds"`
@@ -60,7 +59,6 @@ func (r *Report) JSON(elapsed time.Duration) *ReportJSON {
 		TotalLoops:     len(r.Loops),
 		Commutative:    r.Count(Commutative),
 		CachedLoops:    r.CachedLoops(),
-		ResumedLoops:   r.ResumedLoops(),
 		ProvedLoops:    r.ProvedLoops(),
 		Replays:        r.Replays(),
 		ElapsedSeconds: elapsed.Seconds(),

@@ -71,7 +71,7 @@ func assertIdentical(t *testing.T, label string, seq, par *core.Report) {
 	}
 	for i := range seq.Loops {
 		// Elapsed is wall-clock, and Replays counts work performed — the
-		// verdict cache and journal legitimately reduce it.
+		// verdict cache legitimately reduces it.
 		// Neither is part of the verdict-identity contract; every other
 		// field must match exactly.
 		a, b := *seq.Loops[i], *par.Loops[i]

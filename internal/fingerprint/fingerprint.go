@@ -324,12 +324,11 @@ func (h *hasher) locals(ls []*ir.Local) {
 }
 
 // Run fingerprints a whole analysis run: the program under test plus the
-// verdict-reaching configuration, without any per-loop sections. It keys
-// the write-ahead run journal — two runs with equal keys analyze the same
-// loops under the same configuration, so journaled verdicts from one are
-// valid answers in the other. Knobs that cannot change a verdict (worker
-// count, executor choice, cache configuration) are deliberately absent, so
-// a resume may change them freely.
+// verdict-reaching configuration, without any per-loop sections. Two runs
+// with equal keys analyze the same loops under the same configuration. It
+// names async server runs and serves as the fuzz corpus's program key when
+// no loop separates. Knobs that cannot change a verdict (worker count,
+// executor choice, cache configuration) are deliberately absent.
 func Run(prog *ir.Program, in Inputs) Key {
 	h := newHasher()
 	h.word(tagVersion)

@@ -176,8 +176,8 @@ func TestRunKey(t *testing.T) {
 	if base == runKey(baseSrc, changed) {
 		t.Fatal("retry-budget change did not change the run key")
 	}
-	// A run key must never alias a loop key: the journal and the verdict
-	// cache share a key namespace shape (32 hex digits).
+	// A run key must never alias a loop key: both share a key namespace
+	// shape (32 hex digits), and the fuzz corpus mixes them as dedup keys.
 	for loop := 0; loop < 2; loop++ {
 		if base == keyOf(t, baseSrc, loop, defaultInputs()) {
 			t.Fatalf("run key collides with loop %d key", loop)
@@ -267,8 +267,8 @@ func TestPositionInsensitive(t *testing.T) {
 
 // TestPinnedKeys pins the literal Loop and Run keys of one fixed program.
 // A change to the hash walk or the tag numbering changes every key and
-// orphans every on-disk cache entry and run journal, so it must come with a
-// Version bump; only then are these literals recomputed.
+// orphans every on-disk cache entry, so it must come with a Version bump;
+// only then are these literals recomputed.
 func TestPinnedKeys(t *testing.T) {
 	const pinnedVersion = 5
 	if fingerprint.Version != pinnedVersion {

@@ -26,10 +26,6 @@ type AnalysisMetrics struct {
 	CacheMisses *Counter
 	// CacheWriteErrors counts verdict-cache stores that failed on disk.
 	CacheWriteErrors *Counter
-	// JournalResumed counts loops whose verdict was replayed from the
-	// write-ahead run journal; JournalErrors counts failed journal appends.
-	JournalResumed *Counter
-	JournalErrors  *Counter
 	// ProvedLoops counts loops the static commutativity prover decided
 	// (skipping their dynamic stage); ProveMisses counts prover attempts
 	// that fell through to the dynamic stage.
@@ -56,10 +52,6 @@ func NewAnalysisMetrics(r *Registry) *AnalysisMetrics {
 			"Verdict-cache lookups that fell through to the dynamic stage."),
 		CacheWriteErrors: r.Counter("dca_verdict_cache_write_errors_total",
 			"Verdict-cache stores that failed to reach the disk tier."),
-		JournalResumed: r.Counter("dca_journal_resumed_loops_total",
-			"Loops whose verdict was replayed from the write-ahead run journal."),
-		JournalErrors: r.Counter("dca_journal_append_errors_total",
-			"Run-journal appends that failed; the run continues non-resumable."),
 		ProvedLoops: r.Counter("dca_proved_loops_total",
 			"Loops decided by the static commutativity prover (dynamic stage skipped)."),
 		ProveMisses: r.Counter("dca_prove_misses_total",
@@ -88,13 +80,6 @@ func (m *AnalysisMetrics) Emit(ev Event) {
 			m.CacheMisses.Inc()
 		case OutcomeError:
 			m.CacheWriteErrors.Inc()
-		}
-	case StageJournal:
-		switch ev.Outcome {
-		case OutcomeHit:
-			m.JournalResumed.Inc()
-		case OutcomeError:
-			m.JournalErrors.Inc()
 		}
 	case StageProve:
 		switch ev.Outcome {

@@ -27,10 +27,6 @@ const (
 	// StageCache: verdict-cache lookup (outcome "hit" or "miss") or store
 	// (outcome "error" when the disk write failed).
 	StageCache = "cache"
-	// StageJournal: write-ahead run-journal activity — outcome "hit" when a
-	// loop's verdict was replayed from the journal (skipping both stages),
-	// "error" when appending a fresh verdict failed.
-	StageJournal = "journal"
 	// StageProve: the static commutativity prover's attempt for one loop —
 	// outcome "proved" (Reason names the closing argument) when the loop's
 	// dynamic stage was skipped, "miss" (Reason lists the per-argument
@@ -83,7 +79,8 @@ type Event struct {
 	// Verdict and Reason mirror the loop result on verdict events.
 	Verdict string `json:"verdict,omitempty"`
 	Reason  string `json:"reason,omitempty"`
-	// Provenance is "computed", "cached", or "journaled" on verdict events.
+	// Provenance is "computed", "cached", "footprint-proved" or
+	// "static-proved" on verdict events.
 	Provenance string `json:"provenance,omitempty"`
 	// Retries counts doubled-budget retries the stage consumed.
 	Retries int `json:"retries,omitempty"`

@@ -5,9 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
-	"os"
 	"strings"
 	"testing"
 	"time"
@@ -249,20 +247,5 @@ func TestRunEndpointsUnknownID(t *testing.T) {
 		if resp.StatusCode != http.StatusNotFound {
 			t.Errorf("GET %s = %d, want 404", path, resp.StatusCode)
 		}
-	}
-}
-
-// TestAsyncRunJournaled: with RunDir set, an async run leaves a journal
-// file behind named after its handle.
-func TestAsyncRunJournaled(t *testing.T) {
-	dir := t.TempDir()
-	_, ts := newTestServer(t, Config{Workers: 2, RunDir: dir})
-	h := postAsync(t, ts.URL, AnalyzeRequest{Filename: "t.mc", Source: testSrc})
-	if _, final := readEvents(t, ts.URL+h.EventsURL); final.State != "done" {
-		t.Fatalf("run state = %s, want done", final.State)
-	}
-	journalPath := fmt.Sprintf("%s/%s.journal", dir, h.RunID)
-	if _, err := os.Stat(journalPath); err != nil {
-		t.Fatalf("async run left no journal: %v", err)
 	}
 }

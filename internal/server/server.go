@@ -41,9 +41,7 @@
 // finishes the analysis in the background on a context the client's
 // disconnect cannot cancel. GET /runs/{id} is the status; GET
 // /runs/{id}/events streams per-loop verdicts in source order as NDJSON (or
-// SSE under Accept: text/event-stream). With Config.RunDir set, every async
-// run also appends to a write-ahead journal (internal/journal), the same
-// machinery `dca analyze -journal` uses.
+// SSE under Accept: text/event-stream).
 //
 // Endpoints: POST /analyze (sync or ?async=1), GET /runs/{id},
 // GET /runs/{id}/events, GET /healthz, GET /stats, GET /metrics.
@@ -59,7 +57,6 @@ import (
 	"math/rand"
 	"net"
 	"net/http"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
@@ -73,7 +70,6 @@ import (
 	"dca/internal/fingerprint"
 	"dca/internal/ir"
 	"dca/internal/irbuild"
-	"dca/internal/journal"
 	"dca/internal/obs"
 )
 
@@ -137,9 +133,6 @@ type Config struct {
 	// event the analyses emit (e.g. an obs.JSONL sink). The server always
 	// folds events into its /metrics registry regardless.
 	Trace obs.Sink
-	// RunDir, when non-empty, backs every async run (/analyze?async=1)
-	// with a write-ahead journal in this directory, one file per run.
-	RunDir string
 	// RetryJitter overrides the Retry-After jitter source: it returns a
 	// uniform value in [0, max). nil means math/rand. Tests inject a
 	// deterministic source.
@@ -348,8 +341,8 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 		defer cancel()
 		err := srv.Shutdown(drainCtx)
 		// Async runs outlive their HTTP handlers; give them the rest of the
-		// drain window too, so a SIGTERM doesn't silently abandon a run the
-		// journal would otherwise have made resumable right up to its tail.
+		// drain window too, so a SIGTERM lets a run that is nearly done
+		// finish and publish its report instead of abandoning it.
 		done := make(chan struct{})
 		go func() { s.bg.Wait(); close(done) }()
 		select {
@@ -630,16 +623,9 @@ type runHandle struct {
 	TotalLoops int    `json:"total_loops"`
 }
 
-// asyncJournal adapts the write-ahead journal to the engine's sink.
-type asyncJournal struct{ j *journal.Journal }
-
-func (a asyncJournal) Record(fn string, index int, data []byte) error {
-	return a.j.Append(fn, index, data)
-}
-
-// runKey fingerprints an async run's program + configuration — the run
-// handle's suffix and the journal's header key, so a journal can never be
-// replayed into a run with different semantics.
+// runKey fingerprints an async run's program + configuration. Its prefix
+// becomes the run handle's suffix (Registry.NewRun), so a handle says which
+// program and settings it analyzed.
 func (s *Server) runKey(prog *ir.Program, req *AnalyzeRequest) string {
 	copt := s.options(req).Core
 	return fingerprint.Run(prog, fingerprint.Inputs{
@@ -672,9 +658,7 @@ func (s *Server) startAsync(w http.ResponseWriter, prog *ir.Program, req *Analyz
 
 // runAsync is the background half of an async run. It owns the semaphore
 // slot and in-flight accounting its handler left behind, feeds the run's
-// event stream as loops complete, and seals the run with its report. With
-// RunDir set, every completed loop is also journaled, so a crashed server
-// leaves a resumable record behind.
+// event stream as loops complete, and seals the run with its report.
 func (s *Server) runAsync(run *Run, prog *ir.Program, req *AnalyzeRequest) {
 	defer s.bg.Done()
 	defer func() { <-s.sem; s.inFlight.Dec() }()
@@ -682,18 +666,6 @@ func (s *Server) runAsync(run *Run, prog *ir.Program, req *AnalyzeRequest) {
 	start := time.Now()
 	eopt := s.options(req)
 	eopt.OnLoop = func(res *core.LoopResult) { run.Complete(res.JSON()) }
-	if s.cfg.RunDir != "" {
-		path := filepath.Join(s.cfg.RunDir, run.ID()+".journal")
-		jj, _, jerr := journal.Open(path, s.runKey(prog, req), journal.Options{Version: core.CacheRecordVersion})
-		if jerr != nil {
-			// The run proceeds without durability; the failure is visible
-			// in the trace stream rather than silently swallowed.
-			s.sink.Emit(obs.Event{Stage: obs.StageJournal, Outcome: obs.OutcomeError, Err: jerr.Error()})
-		} else {
-			defer jj.Close()
-			eopt.Journal = asyncJournal{jj}
-		}
-	}
 	rep, err := engine.Analyze(context.Background(), prog, eopt)
 	if err != nil {
 		s.outcomes.Inc(outcomeErrored)
