@@ -10,7 +10,6 @@ import (
 	"dca/internal/bench"
 	"dca/internal/cache"
 	"dca/internal/core"
-	"dca/internal/vm"
 )
 
 // withAllCPUs raises GOMAXPROCS to the machine's CPU count for the duration
@@ -83,36 +82,6 @@ func BenchmarkSuiteAnalysis(b *testing.B) {
 		if speedup > 0 {
 			b.ReportMetric(speedup, "speedup")
 		}
-	}
-}
-
-// BenchmarkSuiteVM measures the executor win: the cold NPB suite (workers=1,
-// no verdict cache) on the bytecode VM versus the same suite forced onto the
-// tree-walking interpreter with vm.SetEnabled(false). The two must produce
-// byte-identical Tables I/III/IV; the timing, the VM run's stage split, and
-// the replay-reducer skip counters are reported (run via `go test -run=^$
-// -bench=SuiteVM -benchtime=1x .`).
-func BenchmarkSuiteVM(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		vmSuite, vmDur, _ := timedSuite(b, 1, nil)
-		vm.SetEnabled(false)
-		noSuite, noDur, _ := timedSuite(b, 1, nil)
-		vm.SetEnabled(true)
-
-		identical := vmSuite.TableI() == noSuite.TableI() &&
-			vmSuite.TableIII() == noSuite.TableIII() &&
-			vmSuite.TableIV() == noSuite.TableIV()
-		if !identical {
-			b.Fatalf("VM suite diverged from tree-walker:\nvm TableI:\n%s\nno-vm TableI:\n%s",
-				vmSuite.TableI(), noSuite.TableI())
-		}
-		stop, fp := vmSuite.SkippedReplays()
-		static, golden, replay := vmSuite.StageSeconds()
-		speedup := noDur.Seconds() / vmDur.Seconds()
-		fmt.Fprintf(os.Stderr, "vm: %.2fs vs interp %.2fs (%.2fx); stages static %.2fs golden %.2fs replay %.2fs; skipped stop %d footprint %d; replays %d vs %d\n",
-			vmDur.Seconds(), noDur.Seconds(), speedup, static, golden, replay, stop, fp,
-			vmSuite.Replays(), noSuite.Replays())
-		b.ReportMetric(speedup, "speedup-vs-interp")
 	}
 }
 

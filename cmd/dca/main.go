@@ -45,7 +45,6 @@ import (
 	"dca/internal/sandbox"
 	"dca/internal/server"
 	"dca/internal/skeleton"
-	"dca/internal/vm"
 )
 
 // Exit codes by failure category, so suite drivers can triage without
@@ -131,7 +130,7 @@ func usage() {
 commands:
   analyze [-j n] [-baselines] [-schedules n] [-timeout d] [-max-steps n]
           [-retry n] [-debug-snapshots] [-json]
-          [-stop-after n] [-no-footprint] [-no-prove] [-no-vm]
+          [-stop-after n] [-no-footprint] [-no-prove]
           [-trace out.jsonl] [-cache-dir d] [-cache-mem bytes]
           [-inject-kind k -inject-at-step n|-inject-at-intrinsic n
            -inject-fn f -inject-loop k] file.mc  run DCA on every loop
@@ -141,7 +140,7 @@ commands:
         [-max-source-bytes n] [-drain-timeout d]
         [-trace out.jsonl]                       run the analysis service
                                                  (metrics at GET /metrics)
-  run [-opt] [-timeout d] [-max-steps n] [-no-vm] file.mc
+  run [-opt] [-timeout d] [-max-steps n] file.mc
                                                  execute the program
   ir [-opt] file.mc                              print the IR
   parallel -fn f -loop k [-workers n] [-timeout d] [-max-steps n] file.mc
@@ -179,12 +178,11 @@ func cmdAnalyze(args []string) error {
 	stopAfter := fs.Int("stop-after", 0, "stop replaying after this many consecutive agreeing schedules (0 = test all)")
 	noFootprint := fs.Bool("no-footprint", false, "decide no loop from the reference run (every analyzed loop runs its golden run)")
 	noProve := fs.Bool("no-prove", false, "disable the static commutativity prover (no verdict comes from a static proof)")
-	noVM := fs.Bool("no-vm", false, "execute with the tree-walking interpreter instead of the bytecode VM")
 	timeout := fs.Duration("timeout", 0, "wall-clock limit per execution (0 = none)")
 	maxSteps := fs.Int64("max-steps", 0, "instruction budget per execution (0 = default 200M)")
 	retry := fs.Int("retry", 1, "doubled-budget retries for budget/timeout traps (negative disables)")
 	injectKind := fs.String("inject-kind", "", "fault injection: trap kind to trip (fault|budget|panic)")
-	injectStep := fs.Int64("inject-at-step", 0, "fault injection: trip at the Nth instruction of a run")
+	injectStep := fs.Int64("inject-at-step", 0, "fault injection: trip at the Nth step (instruction or block terminator) of a run")
 	injectIntr := fs.Int64("inject-at-intrinsic", 0, "fault injection: trip at the Nth rt_* intrinsic call of a run")
 	injectFn := fs.String("inject-fn", "", "fault injection: restrict to this function's loop (with -inject-loop)")
 	injectLoop := fs.Int("inject-loop", 0, "fault injection: loop index within -inject-fn")
@@ -204,9 +202,6 @@ func cmdAnalyze(args []string) error {
 	scheds := []dcart.Schedule{dcart.Reverse{}}
 	for i := 0; i < *schedules; i++ {
 		scheds = append(scheds, dcart.Random{Seed: int64(i + 1)})
-	}
-	if *noVM {
-		vm.SetEnabled(false)
 	}
 	opts := core.Options{
 		Schedules:      scheds,
@@ -435,15 +430,11 @@ func cmdRun(args []string) error {
 	optimize := fs.Bool("opt", false, "optimize the IR before executing")
 	timeout := fs.Duration("timeout", 0, "wall-clock limit (0 = none)")
 	maxSteps := fs.Int64("max-steps", 0, "instruction budget (0 = interpreter default)")
-	noVM := fs.Bool("no-vm", false, "execute with the tree-walking interpreter instead of the bytecode VM")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if fs.NArg() != 1 {
 		return fmt.Errorf("run: need exactly one source file")
-	}
-	if *noVM {
-		vm.SetEnabled(false)
 	}
 	prog, err := compile(fs.Arg(0))
 	if err != nil {

@@ -91,17 +91,6 @@ func (s *Suite) Replays() int {
 	return n
 }
 
-// SkippedReplays sums the schedule replays the suite's DCA runs avoided,
-// split by mechanism (sequential stopping rule vs footprint fast path).
-func (s *Suite) SkippedReplays() (stop, footprint int) {
-	for _, r := range s.Results {
-		st, fp := r.DCA.SkippedReplays()
-		stop += st
-		footprint += fp
-	}
-	return stop, footprint
-}
-
 // ProvedLoops counts the loops across the suite whose verdicts the static
 // commutativity prover decided without any execution.
 func (s *Suite) ProvedLoops() int {
@@ -120,19 +109,6 @@ func (s *Suite) SkippedProveRuns() int {
 		n += r.DCA.SkippedProveRuns()
 	}
 	return n
-}
-
-// StageSeconds sums the per-loop DCA stage durations across the suite:
-// the static stage (separation, plus rewriting for loops that reach a
-// golden run), golden runs, and schedule replays.
-func (s *Suite) StageSeconds() (static, golden, replay float64) {
-	for _, r := range s.Results {
-		st, g, rp := r.DCA.StageSeconds()
-		static += st
-		golden += g
-		replay += rp
-	}
-	return static, golden, replay
 }
 
 // CachedLoops counts the loops whose verdicts were served from the cache.

@@ -165,29 +165,6 @@ func (r *Report) Replays() int {
 	return n
 }
 
-// SkippedReplays totals the schedule replays the analysis did not run,
-// split by mechanism: the sequential stopping rule and the footprint fast
-// path.
-func (r *Report) SkippedReplays() (stop, footprint int) {
-	for _, l := range r.Loops {
-		stop += l.SkippedStop
-		footprint += l.SkippedFootprint
-	}
-	return stop, footprint
-}
-
-// StageSeconds totals the per-loop stage durations across the report:
-// static (separation, and outlining/instrumentation where a golden run
-// needed them), golden runs, and schedule replays.
-func (r *Report) StageSeconds() (static, golden, replay float64) {
-	for _, l := range r.Loops {
-		static += l.DurStatic.Seconds()
-		golden += l.DurGolden.Seconds()
-		replay += l.DurReplay.Seconds()
-	}
-	return static, golden, replay
-}
-
 // ProvedLoops returns how many loops the static commutativity prover
 // decided without any schedule replay (provenance ProvenanceProved).
 func (r *Report) ProvedLoops() int {
@@ -295,12 +272,6 @@ type Options struct {
 	// back into a differential oracle for it: verdicts are identical either
 	// way, the prover only removes work.
 	NoProve bool
-	// NoVM runs every execution of this analysis on the tree-walking
-	// interpreter instead of the bytecode VM. The two executors are
-	// trap-and-output parity-verified, so the knob cannot reach a verdict
-	// and is deliberately NOT part of the fingerprint: a VM run may serve a
-	// tree-walker run's cached verdict and vice versa.
-	NoVM bool
 	// Inject deterministically trips a trap inside the instrumented
 	// executions — the test harness for the degradation paths themselves.
 	// InjectFn/InjectLoop restrict it to one loop; InjectFn == "" applies
@@ -466,7 +437,7 @@ func RunReference(ctx context.Context, prog *ir.Program, opt Options, tr interp.
 	opt.normalize()
 	start := time.Now()
 	var out strings.Builder
-	cfg := interp.Config{Out: &out, NoVM: opt.NoVM, Tracer: tr}
+	cfg := interp.Config{Out: &out, Tracer: tr}
 	if !opt.NoFootprint {
 		cfg.Loops = interp.NewLoopRecorder(prog)
 	}
@@ -524,7 +495,7 @@ func runCell(ctx context.Context, prog *ir.Program, mkRT func() *dcart.Runtime, 
 	oc, retries := sandbox.RunRetry(ctx, prog, func() interp.Config {
 		rt = mkRT()
 		out.Reset()
-		return interp.Config{Out: &out, Runtime: rt, NoVM: opt.NoVM}
+		return interp.Config{Out: &out, Runtime: rt}
 	}, opt.Limits(), inj, opt.Retries)
 	return rt, out.String(), oc.Trap, retries
 }

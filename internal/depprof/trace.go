@@ -72,7 +72,7 @@ type Profile struct {
 
 // Trace executes the program from main under a step budget (0 means the
 // executor's default) and returns its dependence profile. It runs on the
-// bytecode VM unless the tree-walker is forced process-wide (-no-vm).
+// bytecode VM, like every sandboxed execution.
 func Trace(prog *ir.Program, maxSteps int64) (*Profile, error) {
 	b := NewBuilder(prog)
 	oc := sandbox.Run(nil, prog, interp.Config{Tracer: b}, sandbox.Limits{MaxSteps: maxSteps}, nil)

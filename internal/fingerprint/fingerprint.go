@@ -32,8 +32,8 @@
 //
 // Source positions, file names, comments, and formatting — the walk reads
 // the IR's structural serialization, which carries none of them — and every
-// knob that cannot reach a verdict (worker counts, executor choice, cache
-// configuration, output format).
+// knob that cannot reach a verdict (worker counts, cache configuration,
+// output format).
 //
 // Version is hashed into every key, so a change to the walk itself
 // invalidates all previously stored fingerprints.
@@ -328,7 +328,7 @@ func (h *hasher) locals(ls []*ir.Local) {
 // with equal keys analyze the same loops under the same configuration. It
 // names async server runs and serves as the fuzz corpus's program key when
 // no loop separates. Knobs that cannot change a verdict (worker count,
-// executor choice, cache configuration) are deliberately absent.
+// cache configuration) are deliberately absent.
 func Run(prog *ir.Program, in Inputs) Key {
 	h := newHasher()
 	h.word(tagVersion)

@@ -1,9 +1,10 @@
 // Package interp is a tree-walking interpreter for the IR and the
 // execution contract both executors share: Config, Tracer, LoopRecorder,
-// the step and budget semantics and the error taxonomy. The bytecode VM
-// (internal/vm) runs most executions to this contract; the tree-walker is
-// its differential oracle and runs the rest: StepHook's per-instruction
-// callback, the parallel executor (internal/parallel) and -no-vm.
+// StepTrip, the step and budget semantics and the error taxonomy. The
+// bytecode VM (internal/vm) runs every sandboxed execution to this
+// contract. The tree-walker is its differential oracle (the vm parity
+// tests, dca fuzz's exec-divergence leg) and still runs the parallel
+// executor (internal/parallel) and the linkedlist example.
 package interp
 
 import (
@@ -72,10 +73,9 @@ type Frame struct {
 }
 
 // Tracer receives execution events. A nil tracer costs nothing. Both
-// executors raise the same events in the same order, so a tracer keeps a
-// run on the bytecode VM. A callback must not keep the *Frame it is given
-// or the frame's Locals past its return: the VM reuses both once the frame
-// returns.
+// executors raise the same events in the same order. A callback must not
+// keep the *Frame it is given or the frame's Locals past its return: the
+// VM reuses both once the frame returns.
 type Tracer interface {
 	// OnBlock fires when control enters a basic block.
 	OnBlock(fr *Frame, b *ir.Block)
@@ -104,13 +104,23 @@ type Runtime interface {
 	Intrinsic(env Env, fr *Frame, name string, args []ir.Value) (ir.Value, error)
 }
 
+// StepTrip calls Fire once, when a run's step count reaches At. That step
+// may be an instruction or a block terminator; the call comes after the
+// step's budget check and context poll. A non-nil error stops the run the
+// way a budget error does: unwrapped in the frame that tripped, wrapped by
+// each calling frame. The zero value never fires; Fire must be set when At
+// is positive. The sandbox fault injector arms it.
+type StepTrip struct {
+	At   int64
+	Fire func(fn string) error // fn names the function executing the step
+}
+
 // Config controls one execution.
 type Config struct {
-	Out         io.Writer // print destination; nil discards
-	Runtime     Runtime   // intrinsic handler; nil makes intrinsics errors
-	Tracer      Tracer    // event hooks; nil disables tracing
-	MaxSteps    int64     // instruction budget; 0 means 1e9
-	CountBlocks bool      // record per-block execution counts
+	Out      io.Writer // print destination; nil discards
+	Runtime  Runtime   // intrinsic handler; nil makes intrinsics errors
+	Tracer   Tracer    // event hooks; nil disables tracing
+	MaxSteps int64     // instruction budget; 0 means 1e9
 	// Ctx, when non-nil, cancels execution: the interpreter polls it every
 	// few hundred instructions and returns a *CancelError once it is done.
 	Ctx context.Context
@@ -118,27 +128,18 @@ type Config struct {
 	MaxHeapObjects int64
 	// MaxOutput bounds the bytes written through print (0 = unlimited).
 	MaxOutput int64
-	// StepHook, when non-nil, runs before every instruction; a returned
-	// error aborts execution with it. The sandbox fault injector uses it to
-	// trip deterministic traps at a chosen instruction count.
-	StepHook func(fr *Frame, in ir.Instr, steps int64) error
 	// Loops, when non-nil, records per-loop invocation and iteration counts
 	// and iteration-disjoint heap footprints for every loop of the program
 	// at once (see LoopRecorder). Both executors feed it directly.
 	Loops *LoopRecorder
-	// NoVM forces this execution onto the tree-walking interpreter even
-	// when the bytecode VM is enabled process-wide. It is a per-execution
-	// request (the server's `no_vm` knob), so concurrent analyses with
-	// different executor preferences never fight over a global switch.
-	NoVM bool
+	// Trip, when armed, calls back once at a chosen step (see StepTrip).
+	Trip StepTrip
 }
 
 // Result reports what an execution did.
 type Result struct {
-	Steps      int64
-	BlockCount map[*ir.Block]int64
-	Ret        ir.Value
-	Output     string // only set by helpers that capture output
+	Steps int64
+	Ret   ir.Value
 }
 
 // Interp executes IR programs.
@@ -149,7 +150,6 @@ type Interp struct {
 	max      int64
 	nextID   int64
 	outBytes int64
-	blockCt  map[*ir.Block]int64
 	printBuf []byte // reusable scratch for Print formatting
 }
 
@@ -159,11 +159,7 @@ func New(prog *ir.Program, cfg Config) *Interp {
 	if max == 0 {
 		max = 1_000_000_000
 	}
-	it := &Interp{prog: prog, cfg: cfg, max: max}
-	if cfg.CountBlocks {
-		it.blockCt = map[*ir.Block]int64{}
-	}
-	return it
+	return &Interp{prog: prog, cfg: cfg, max: max}
 }
 
 // Run executes prog from main().
@@ -177,17 +173,11 @@ func Run(prog *ir.Program, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Steps: it.steps, BlockCount: it.blockCt, Ret: ret}, nil
+	return &Result{Steps: it.steps, Ret: ret}, nil
 }
 
 // Steps returns the number of instructions executed so far.
 func (it *Interp) Steps() int64 { return it.steps }
-
-// BlockCounts returns per-block execution counts (nil unless enabled).
-func (it *Interp) BlockCounts() map[*ir.Block]int64 { return it.blockCt }
-
-// Program returns the program under execution.
-func (it *Interp) Program() *ir.Program { return it.prog }
 
 // NewObjectID mints a fresh heap object ID (also used by the DCA runtime
 // when it materializes helper objects).
@@ -225,15 +215,6 @@ func (it *Interp) Call(fn *ir.Func, args []ir.Value, parent *Frame) (ir.Value, e
 	return ret, err
 }
 
-// CallByName invokes the named function with args.
-func (it *Interp) CallByName(name string, args ...ir.Value) (ir.Value, error) {
-	fn := it.prog.Func(name)
-	if fn == nil {
-		return ir.Value{}, fmt.Errorf("interp: no function %q", name)
-	}
-	return it.Call(fn, args, nil)
-}
-
 func (it *Interp) operand(fr *Frame, o ir.Operand) ir.Value {
 	if o.Local != nil {
 		return fr.Locals[o.Local.Index]
@@ -263,9 +244,6 @@ func (it *Interp) exec(fr *Frame) (ir.Value, error) {
 		if loops != nil {
 			loops.Enter(fr.Depth, loops.Position(b))
 		}
-		if it.blockCt != nil {
-			it.blockCt[b] += int64(len(b.Instrs)) + 1
-		}
 		for _, in := range b.Instrs {
 			it.steps++
 			if it.steps > it.max {
@@ -276,9 +254,9 @@ func (it *Interp) exec(fr *Frame) (ir.Value, error) {
 					return ir.Value{}, &CancelError{Fn: fr.Fn.Name, Block: b.Name, Steps: it.steps, Cause: err}
 				}
 			}
-			if it.cfg.StepHook != nil {
-				if err := it.cfg.StepHook(fr, in, it.steps); err != nil {
-					return ir.Value{}, fmt.Errorf("%s: %s: %w", fr.Fn.Name, in, err)
+			if it.steps == it.cfg.Trip.At {
+				if err := it.cfg.Trip.Fire(fr.Fn.Name); err != nil {
+					return ir.Value{}, err
 				}
 			}
 			if err := it.step(fr, b, in); err != nil {
@@ -292,6 +270,11 @@ func (it *Interp) exec(fr *Frame) (ir.Value, error) {
 		if it.cfg.Ctx != nil && it.steps&255 == 0 {
 			if err := it.cfg.Ctx.Err(); err != nil {
 				return ir.Value{}, &CancelError{Fn: fr.Fn.Name, Block: b.Name, Steps: it.steps, Cause: err}
+			}
+		}
+		if it.steps == it.cfg.Trip.At {
+			if err := it.cfg.Trip.Fire(fr.Fn.Name); err != nil {
+				return ir.Value{}, err
 			}
 		}
 		switch t := b.Term.(type) {

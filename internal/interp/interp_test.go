@@ -190,42 +190,6 @@ func TestStepBudget(t *testing.T) {
 	}
 }
 
-func TestCallByName(t *testing.T) {
-	prog, err := irbuild.Compile("t.mc", `
-func add(a int, b int) int { return a + b; }
-func main() { }`)
-	if err != nil {
-		t.Fatalf("compile: %v", err)
-	}
-	it := interp.New(prog, interp.Config{})
-	v, err := it.CallByName("add", ir.IntVal(20), ir.IntVal(22))
-	if err != nil {
-		t.Fatalf("call: %v", err)
-	}
-	if v.I != 42 {
-		t.Errorf("add = %v, want 42", v)
-	}
-}
-
-func TestBlockCounts(t *testing.T) {
-	prog, err := irbuild.Compile("t.mc", `
-func main() {
-	var s int = 0;
-	for (var i int = 0; i < 10; i++) { s += i; }
-	print(s);
-}`)
-	if err != nil {
-		t.Fatalf("compile: %v", err)
-	}
-	res, err := interp.Run(prog, interp.Config{CountBlocks: true})
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if res.Steps == 0 || len(res.BlockCount) == 0 {
-		t.Errorf("expected step and block counts, got %d steps %d blocks", res.Steps, len(res.BlockCount))
-	}
-}
-
 // traceRecorder counts tracer events.
 type traceRecorder struct {
 	blocks, loads, stores, calls, rets int
@@ -271,7 +235,7 @@ func TestNoLoopsAnalysisEdge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := interp.Run(prog, interp.Config{CountBlocks: true})
+	res, err := interp.Run(prog, interp.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

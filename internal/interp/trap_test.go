@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"dca/internal/interp"
-	"dca/internal/ir"
 	"dca/internal/irbuild"
 )
 
@@ -99,27 +98,27 @@ func TestOutputBudget(t *testing.T) {
 	}
 }
 
-// TestStepHookAbort: a StepHook error aborts execution with that error.
-func TestStepHookAbort(t *testing.T) {
+// TestStepTripAbort: a step trip fires once, at its step, and its error
+// aborts execution unwrapped.
+func TestStepTripAbort(t *testing.T) {
 	prog, err := irbuild.Compile("t.mc", `func main() { var s int = 0; for (var i int = 0; i < 100; i++) { s += i; } print(s); }`)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	boom := errors.New("hook says stop")
-	var sawSteps int64
-	_, err = interp.Run(prog, interp.Config{
-		StepHook: func(fr *interp.Frame, in ir.Instr, steps int64) error {
-			sawSteps = steps
-			if steps >= 10 {
-				return boom
-			}
-			return nil
-		},
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want hook error", err)
+	boom := errors.New("trip says stop")
+	var calls int
+	it := interp.New(prog, interp.Config{Trip: interp.StepTrip{At: 10, Fire: func(fn string) error {
+		calls++
+		if fn != "main" {
+			t.Errorf("trip fired in %q, want main", fn)
+		}
+		return boom
+	}}})
+	_, err = it.Call(prog.Func("main"), nil, nil)
+	if err != boom {
+		t.Fatalf("err = %v, want the trip's error unwrapped", err)
 	}
-	if sawSteps != 10 {
-		t.Errorf("hook last saw step %d, want 10", sawSteps)
+	if calls != 1 || it.Steps() != 10 {
+		t.Errorf("trip called %d times, run stopped at step %d; want once, at 10", calls, it.Steps())
 	}
 }

@@ -302,11 +302,7 @@ func (rt *rtImpl) runParallel(parent interp.Env, env *ir.Object) error {
 					cancel()
 				}
 			}()
-			cfg := interp.Config{Out: rt.opt.Out, MaxSteps: rt.opt.MaxSteps, Ctx: ctx}
-			if rt.opt.Inject.Enabled() {
-				cfg.StepHook = rt.opt.Inject.StepHook()
-			}
-			wi := interp.New(rt.inst.Prog, cfg)
+			wi := interp.New(rt.inst.Prog, interp.Config{Out: rt.opt.Out, MaxSteps: rt.opt.MaxSteps, Ctx: ctx, Trip: rt.opt.Inject.StepTrip()})
 			envArg := ir.RefVal(envs[w])
 			for k := lo; k < hi; k++ {
 				if ctx.Err() != nil {

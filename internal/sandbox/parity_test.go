@@ -8,27 +8,33 @@ import (
 	"dca/internal/interp"
 	"dca/internal/ir"
 	"dca/internal/sandbox"
-	"dca/internal/vm"
 )
 
-// runBoth executes the same program under both executors and returns the
-// two outcomes plus captured output. The VM toggle is restored afterwards.
+// runBoth executes the same program through sandbox.Run, which runs the
+// VM, and on the tree-walking oracle under the config Run derives from ctx
+// and lim, classified the same way. It returns the two outcomes plus
+// captured output.
 func runBoth(t *testing.T, prog *ir.Program, ctx context.Context, lim sandbox.Limits) (vmOut, twOut *sandbox.Outcome, vmStr, twStr string) {
 	t.Helper()
-	defer vm.SetEnabled(true)
 	var vb, tb strings.Builder
-	vm.SetEnabled(true)
 	vmOut = sandbox.Run(ctx, prog, interp.Config{Out: &vb}, lim, nil)
-	vm.SetEnabled(false)
-	twOut = sandbox.Run(ctx, prog, interp.Config{Out: &tb}, lim, nil)
+	it := interp.New(prog, interp.Config{Out: &tb, Ctx: ctx, MaxSteps: lim.MaxSteps,
+		MaxHeapObjects: lim.MaxHeapObjects, MaxOutput: lim.MaxOutput})
+	if _, err := it.Call(prog.Func("main"), nil, nil); err != nil {
+		twOut = &sandbox.Outcome{Trap: &sandbox.Trap{Kind: sandbox.Classify(err), Err: err, Steps: it.Steps()}}
+	} else {
+		twOut = &sandbox.Outcome{Result: &interp.Result{Steps: it.Steps()}}
+	}
 	return vmOut, twOut, vb.String(), tb.String()
 }
 
 // TestExecutorTrapParity locks the byte-identical contract between the
-// bytecode VM and the tree-walking interpreter at the sandbox level: for
-// every trap kind in the taxonomy, both executors must produce the same
-// kind, the same error text, the same retired-step count at the moment the
-// trap fired, and the same (possibly truncated) output.
+// sandbox's VM runs and the tree-walking oracle: for every trap kind in
+// the taxonomy, sandbox.Run must report the kind, error text,
+// retired-step count at the moment the trap fired, and (possibly
+// truncated) output the tree-walker produces under the same limits. It
+// goes through Run's limit plumbing and trap classification, which the vm
+// package's parity tests do not.
 func TestExecutorTrapParity(t *testing.T) {
 	cases := []struct {
 		name string

@@ -1,5 +1,6 @@
-// Package sandbox wraps the DCA pipeline's interpreter executions in
-// fault-isolated, budgeted, cancellable cells. Every replay of the dynamic
+// Package sandbox wraps the DCA pipeline's executions in fault-isolated,
+// budgeted, cancellable cells on the bytecode VM (internal/vm). Every
+// replay of the dynamic
 // stage (reference run, golden run, permuted runs, baseline profiling runs)
 // can trap — a program fault reachable only under permutation, a resource
 // budget running out, a wall-clock timeout, or an internal panic in the
@@ -10,9 +11,9 @@
 // outcomes into a structured Trap so callers can degrade per loop instead
 // of aborting a whole suite analysis.
 //
-// A deterministic fault Injector can trip any trap kind at the Nth
-// instruction or the Nth rt_* intrinsic call, so the degradation paths
-// themselves are testable.
+// A deterministic fault Injector can trip any trap kind at the Nth step
+// (instruction or block terminator) or the Nth rt_* intrinsic call, so the
+// degradation paths themselves are testable.
 package sandbox
 
 import (
@@ -106,10 +107,11 @@ type Outcome struct {
 // OK reports whether the execution completed without a trap.
 func (o *Outcome) OK() bool { return o.Trap == nil }
 
-// Run executes prog's main function under cfg inside a fault-isolated cell:
-// limits are applied on top of cfg, inj (which may be nil) is armed, panics
-// are recovered into a Panic trap, and interpreter errors are classified.
-// ctx may be nil; with lim.Timeout set it is wrapped in a deadline.
+// Run executes prog's main function under cfg on a VM machine inside a
+// fault-isolated cell: limits are applied on top of cfg, inj (which may be
+// nil) is armed, panics are recovered into a Panic trap, and execution
+// errors are classified. ctx may be nil; with lim.Timeout set it is wrapped
+// in a deadline.
 func Run(ctx context.Context, prog *ir.Program, cfg interp.Config, lim Limits, inj *Injector) (out *Outcome) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -130,71 +132,51 @@ func Run(ctx context.Context, prog *ir.Program, cfg interp.Config, lim Limits, i
 		cfg.MaxOutput = lim.MaxOutput
 	}
 	if inj.Enabled() {
-		cfg.StepHook = chainStepHooks(cfg.StepHook, inj.StepHook())
+		if inj.spec.AtStep > 0 {
+			cfg.Trip = inj.StepTrip()
+		}
 		if inj.spec.AtIntrinsic > 0 {
 			cfg.Runtime = inj.WrapRuntime(cfg.Runtime)
 		}
 	}
-	it := newExecutor(prog, cfg)
+	main := prog.Func("main")
+	if main == nil {
+		return &Outcome{Trap: &Trap{Kind: Fault, Err: fmt.Errorf("sandbox: program %q has no main function", prog.Name)}}
+	}
+	m := vm.New(prog, cfg)
 	defer func() {
 		if r := recover(); r != nil {
 			out = &Outcome{Trap: &Trap{
 				Kind:  Panic,
 				Err:   fmt.Errorf("sandbox: recovered panic: %v", r),
 				Stack: string(debug.Stack()),
-				Steps: it.Steps(),
+				Steps: m.Steps(),
 			}}
 		}
 	}()
-	main := prog.Func("main")
-	if main == nil {
-		return &Outcome{Trap: &Trap{Kind: Fault, Err: fmt.Errorf("sandbox: program %q has no main function", prog.Name)}}
-	}
-	ret, err := it.Call(main, nil, nil)
+	ret, err := m.Call(main, nil, nil)
 	if err != nil {
-		out = &Outcome{Trap: &Trap{Kind: Classify(err), Err: err, Steps: it.Steps()}}
-		release(it, ir.Value{})
+		out = &Outcome{Trap: &Trap{Kind: Classify(err), Err: err, Steps: m.Steps()}}
+		release(m, ir.Value{})
 		return out
 	}
-	out = &Outcome{Result: &interp.Result{Steps: it.Steps(), BlockCount: it.BlockCounts(), Ret: ret}}
-	release(it, ret)
+	out = &Outcome{Result: &interp.Result{Steps: m.Steps(), Ret: ret}}
+	release(m, ret)
 	return out
 }
 
-// release hands a pooling executor (the VM) its arenas back once the
-// outcome has been extracted. Nothing a sandboxed run produces outlives the
-// Outcome: traps and output are strings, verification state is digests, and
-// step/block counts are copied above — so recycling is safe unless main
-// itself returned a heap reference, in which case the machine is simply
-// dropped (a returned string's text is not carved from the arenas). Panicking
-// runs never reach here and are dropped too.
-func release(it executor, ret ir.Value) {
+// release hands the machine its arenas back once the outcome has been
+// extracted. Nothing a sandboxed run produces outlives the Outcome: traps
+// and output are strings, verification state is digests, and the step
+// count is copied above — so recycling is safe unless main itself returned
+// a heap reference, in which case the machine is simply dropped (a
+// returned string's text is not carved from the arenas). Panicking runs
+// never reach here and are dropped too.
+func release(m *vm.Machine, ret ir.Value) {
 	if ret.Kind == ir.KindRef && ret.Ref != nil {
 		return
 	}
-	if r, ok := it.(interface{ Release() }); ok {
-		r.Release()
-	}
-}
-
-// executor abstracts the two execution engines behind Run: the bytecode VM
-// (internal/vm) and the tree-walking interpreter. Both honour the same
-// contract — step counts, block counts, output, traps — so the choice is
-// invisible to callers.
-type executor interface {
-	Call(fn *ir.Func, args []ir.Value, parent *interp.Frame) (ir.Value, error)
-	Steps() int64
-	BlockCounts() map[*ir.Block]int64
-}
-
-// newExecutor picks the VM when it is enabled and the config carries no
-// StepHook (a per-instruction callback the VM does not raise) and no
-// per-execution NoVM; everything else runs on the tree-walker.
-func newExecutor(prog *ir.Program, cfg interp.Config) executor {
-	if vm.Enabled() && vm.Supported(cfg) {
-		return vm.New(prog, cfg)
-	}
-	return interp.New(prog, cfg)
+	m.Release()
 }
 
 // RunRetry executes Run with a fresh configuration from mkCfg, retrying
@@ -263,22 +245,10 @@ func sleepBackoff(ctx context.Context, spent int) bool {
 	}
 }
 
-func chainStepHooks(a, b func(fr *interp.Frame, in ir.Instr, steps int64) error) func(fr *interp.Frame, in ir.Instr, steps int64) error {
-	if a == nil {
-		return b
-	}
-	return func(fr *interp.Frame, in ir.Instr, steps int64) error {
-		if err := a(fr, in, steps); err != nil {
-			return err
-		}
-		return b(fr, in, steps)
-	}
-}
-
 // Inject describes a deterministic trap to trip during execution.
 type Inject struct {
-	// AtStep trips the trap when a run retires this many instructions
-	// (0 = off).
+	// AtStep trips the trap at a run's Nth step, an instruction or a block
+	// terminator (0 = off).
 	AtStep int64
 	// AtIntrinsic trips the trap at the Nth rt_* intrinsic call of a run
 	// (0 = off).
@@ -337,26 +307,24 @@ func (inj *Injector) fire(site string, steps int64) error {
 	}
 }
 
-// StepHook returns an interp.Config.StepHook arming AtStep for one run: it
-// trips at the first instruction at or after the target step count (step
-// counts also advance on block terminators, which the hook never sees).
-// Each call returns a fresh closure with its own run-local state, so one
-// Injector can arm many runs — including concurrent worker runs.
-func (inj *Injector) StepHook() func(fr *interp.Frame, in ir.Instr, steps int64) error {
+// StepTrip returns the interp.StepTrip arming AtStep: it trips at step
+// AtStep exactly. A run's step count passes any value once, so the trip
+// keeps no per-run state and one Injector can arm many runs — including
+// concurrent worker runs. Without AtStep it is the zero, disarmed trip.
+func (inj *Injector) StepTrip() interp.StepTrip {
 	if inj == nil || inj.spec.AtStep <= 0 {
+		return interp.StepTrip{}
+	}
+	return interp.StepTrip{At: inj.spec.AtStep, Fire: inj.fireAtStep}
+}
+
+// fireAtStep is the step trip's Fire: it claims one trip, honouring
+// MaxTrips, and fires it in fn.
+func (inj *Injector) fireAtStep(fn string) error {
+	if !inj.tryTrip() {
 		return nil
 	}
-	fired := false
-	return func(fr *interp.Frame, in ir.Instr, steps int64) error {
-		if fired || steps < inj.spec.AtStep {
-			return nil
-		}
-		fired = true
-		if inj.tryTrip() {
-			return inj.fire(fr.Fn.Name, steps)
-		}
-		return nil
-	}
+	return inj.fire(fn, inj.spec.AtStep)
 }
 
 // WrapRuntime wraps rt so the Nth intrinsic call of the run trips the

@@ -141,6 +141,27 @@ func TestInjectFaultAtStep(t *testing.T) {
 	if !strings.Contains(oc.Trap.Err.Error(), "injected fault") {
 		t.Errorf("trap error = %v", oc.Trap.Err)
 	}
+	if oc.Trap.Steps != 50 {
+		t.Errorf("trapped at step %d, want 50", oc.Trap.Steps)
+	}
+}
+
+// TestInjectAtTerminatorStep: AtStep on a block terminator's step traps at
+// that step, not at the next instruction, and the sandboxed VM run stops
+// with the tree-walker's error at the tree-walker's step.
+func TestInjectAtTerminatorStep(t *testing.T) {
+	prog := compile(t, `func main() { var s int = 0; for (var i int = 0; i < 100; i++) { s += i; } print(s); }`)
+	// Steps 1 and 2 are the entry block's two moves; step 3 is its goto.
+	spec := sandbox.Inject{AtStep: 3, Kind: sandbox.Fault}
+	oc := sandbox.Run(nil, prog, interp.Config{}, sandbox.Limits{}, sandbox.NewInjector(spec))
+	if oc.OK() || oc.Trap.Kind != sandbox.Fault || oc.Trap.Steps != 3 {
+		t.Fatalf("want a Fault trap at step 3, got %+v", oc.Trap)
+	}
+	it := interp.New(prog, interp.Config{Trip: sandbox.NewInjector(spec).StepTrip()})
+	_, err := it.Call(prog.Func("main"), nil, nil)
+	if err == nil || err.Error() != oc.Trap.Err.Error() || it.Steps() != oc.Trap.Steps {
+		t.Errorf("tree-walker stopped at step %d with %v; sandbox at %d with %v", it.Steps(), err, oc.Trap.Steps, oc.Trap.Err)
+	}
 }
 
 func TestInjectBudgetAtStep(t *testing.T) {
@@ -152,6 +173,9 @@ func TestInjectBudgetAtStep(t *testing.T) {
 	}
 	if !errors.Is(oc.Trap.Err, interp.ErrBudget) {
 		t.Errorf("injected budget trap does not match ErrBudget: %v", oc.Trap.Err)
+	}
+	if oc.Trap.Steps != 50 {
+		t.Errorf("trapped at step %d, want 50", oc.Trap.Steps)
 	}
 }
 

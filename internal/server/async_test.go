@@ -225,7 +225,7 @@ func TestAnalyzeKnobValidation(t *testing.T) {
 
 	resp, body = postAnalyze(t, ts.URL, AnalyzeRequest{
 		Filename: "t.mc", Source: testSrc,
-		StopAfter: 1, NoFootprint: true, NoVM: true,
+		StopAfter: 1, NoFootprint: true,
 	})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("knobbed analyze status = %d, want 200: %s", resp.StatusCode, body)

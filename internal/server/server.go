@@ -379,11 +379,6 @@ type AnalyzeRequest struct {
 	// NoProve disables the static commutativity prover for this request,
 	// so no loop's verdict comes from a static proof.
 	NoProve bool `json:"no_prove,omitempty"`
-	// NoVM runs this request's executions on the tree-walking interpreter
-	// instead of the bytecode VM. Unlike the CLI's process-wide -no-vm
-	// flag, this is per-request: concurrent requests with different
-	// settings never interfere.
-	NoVM bool `json:"no_vm,omitempty"`
 }
 
 // AnalyzeResponse is the /analyze response body.
@@ -472,7 +467,6 @@ func (s *Server) options(req *AnalyzeRequest) engine.Options {
 		StopAfter:      req.StopAfter,
 		NoFootprint:    req.NoFootprint,
 		NoProve:        req.NoProve,
-		NoVM:           req.NoVM,
 		Trace:          s.sink,
 	}
 	if !req.NoCache {

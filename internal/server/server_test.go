@@ -207,10 +207,12 @@ func TestBadRequests(t *testing.T) {
 		{"overflowing-timeout", `{"source": "func main() { print(0); }", "timeout_ms": 9300000000000000}`, http.StatusBadRequest, ""},
 		{"negative-max-steps", `{"source": "func main() { print(0); }", "max_steps": -1}`, http.StatusBadRequest, ""},
 		{"negative-schedules", `{"source": "func main() { print(0); }", "schedules": -1}`, http.StatusBadRequest, ""},
-		// A misspelt knob and the retired shard filter are rejected by name,
-		// never dropped: analyzing anyway would ignore what the client asked.
+		// A misspelt knob and the retired shard filter and executor switch
+		// are rejected by name, never dropped: analyzing anyway would
+		// ignore what the client asked.
 		{"misspelt-knob", `{"source": "func main() { print(0); }", "no_footprnt": true}`, http.StatusBadRequest, "no_footprnt"},
 		{"retired-loops-field", `{"source": "func main() { print(0); }", "loops": [{"fn": "main", "index": 0}]}`, http.StatusBadRequest, "loops"},
+		{"retired-executor-field", `{"source": "func main() { print(0); }", "no_vm": true}`, http.StatusBadRequest, "no_vm"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

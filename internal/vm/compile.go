@@ -57,9 +57,8 @@ type instMeta struct {
 }
 
 type blockInfo struct {
-	b    *ir.Block
-	pc   int32
-	cost int64 // len(Instrs)+1, the per-entry block-count increment
+	b  *ir.Block
+	pc int32
 }
 
 // allocInfo pre-resolves everything an Alloc site needs: the struct layout
@@ -122,8 +121,6 @@ func (fc *fnCode) in2Of(pc int32) ir.Instr {
 // progCode is a compiled program: immutable after compile, shared by every
 // Machine executing the program (golden run and all replays).
 type progCode struct {
-	prog   *ir.Program
-	fns    []*fnCode
 	byFn   map[*ir.Func]*fnCode
 	byName map[string]*ir.Func
 }
@@ -136,7 +133,6 @@ func compiled(prog *ir.Program) *progCode {
 
 func compile(prog *ir.Program) *progCode {
 	p := &progCode{
-		prog:   prog,
 		byFn:   make(map[*ir.Func]*fnCode, len(prog.Funcs)),
 		byName: make(map[string]*ir.Func, len(prog.Funcs)),
 	}
@@ -181,7 +177,6 @@ func compile(prog *ir.Program) *progCode {
 			fc = &fnCode{fn: fn, nLocals: len(fn.Locals)}
 			fresh = append(fresh, fc)
 		}
-		p.fns = append(p.fns, fc)
 		p.byFn[fn] = fc
 	}
 	for _, fc := range fresh {
@@ -243,7 +238,7 @@ func compileFn(p *progCode, fc *fnCode) {
 	}
 	fc.blocks = make([]blockInfo, len(blocks))
 	for bi, b := range blocks {
-		fc.blocks[bi] = blockInfo{b: b, pc: int32(len(fc.ins)), cost: int64(len(b.Instrs)) + 1}
+		fc.blocks[bi] = blockInfo{b: b, pc: int32(len(fc.ins))}
 		c.compileBlock(b)
 	}
 }

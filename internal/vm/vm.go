@@ -4,19 +4,18 @@
 // superinstructions, calls resolved at compile time) and the compiled form
 // is memoized on the program, so one compilation serves the golden run and
 // every permuted replay. Execution uses a tight dispatch loop with an
-// arena-allocated value stack and heap, and folds the step budget and
-// context-cancellation polling into a single dispatch-counter comparison
-// per retired instruction.
+// arena-allocated value stack and heap, and folds the step budget,
+// context-cancellation polling and the step trip into a single
+// dispatch-counter comparison per retired instruction.
 //
 // The VM reproduces the tree-walking interpreter's contract exactly: step
-// counts, block counts, output bytes, BudgetError/CancelError taxonomy and
-// texts, error wrapping per frame, Runtime intrinsics (via interp.Env),
-// LoopRecorder and interp.Tracer events (same points, same order), and
-// panic behaviour. A run without a tracer pays one nil check per event
-// site. internal/sandbox switches between the two executors transparently;
-// only StepHook's per-instruction callback needs the tree-walker, which
-// also stays available behind -no-vm as the differential-testing oracle
-// (see dca fuzz's exec-divergence leg).
+// counts, output bytes, BudgetError/CancelError taxonomy and texts, error
+// wrapping per frame, Runtime intrinsics (via interp.Env), LoopRecorder and
+// interp.Tracer events (same points, same order), the step trip, and panic
+// behaviour. A run without a tracer pays one nil check per event site.
+// internal/sandbox runs every execution on the VM; the tree-walker stays
+// as its differential oracle (the parity tests here and dca fuzz's
+// exec-divergence leg).
 //
 // Arena lifetime rules: frames and their register slices live on per-machine
 // LIFO arenas and are reused after the frame returns — a Runtime or Tracer
@@ -34,31 +33,10 @@ import (
 	"math"
 	"strconv"
 	"sync"
-	"sync/atomic"
 
 	"dca/internal/interp"
 	"dca/internal/ir"
 )
-
-// disabled flips the package-wide executor preference; the zero value means
-// the VM is on. Cleared via SetEnabled (the -no-vm flag).
-var disabled atomic.Bool
-
-// Enabled reports whether the VM is the preferred executor.
-func Enabled() bool { return !disabled.Load() }
-
-// SetEnabled turns the VM on or off process-wide (-no-vm sets false; the
-// tree-walker then runs everything).
-func SetEnabled(v bool) { disabled.Store(!v) }
-
-// Supported reports whether cfg can run on the VM. The VM raises a
-// Tracer's events itself, but not StepHook's per-instruction callback:
-// those runs stay on the tree-walker. A config carrying NoVM opted out per
-// execution (the server's per-request `no_vm`), without touching the
-// process-wide preference other requests share.
-func Supported(cfg interp.Config) bool {
-	return cfg.StepHook == nil && !cfg.NoVM
-}
 
 // Machine executes one program. Not safe for concurrent use; distinct
 // machines may share the program's compiled code freely.
@@ -69,6 +47,7 @@ type Machine struct {
 	loops  *interp.LoopRecorder
 	tracer interp.Tracer
 	ctx    context.Context
+	onStep interp.StepTrip
 
 	steps    int64
 	maxSteps int64
@@ -80,7 +59,6 @@ type Machine struct {
 	outBytes int64
 	maxOut   int64
 
-	blockCt  map[*ir.Block]int64
 	printBuf []byte
 	argBuf   []ir.Value
 
@@ -113,6 +91,7 @@ func New(prog *ir.Program, cfg interp.Config) *Machine {
 		loops:    cfg.Loops,
 		tracer:   cfg.Tracer,
 		ctx:      cfg.Ctx,
+		onStep:   cfg.Trip,
 		maxSteps: max,
 		maxHeap:  cfg.MaxHeapObjects,
 		maxOut:   cfg.MaxOutput,
@@ -121,9 +100,6 @@ func New(prog *ir.Program, cfg interp.Config) *Machine {
 		heap:     m.heap,
 		printBuf: m.printBuf,
 		argBuf:   m.argBuf,
-	}
-	if cfg.CountBlocks {
-		m.blockCt = map[*ir.Block]int64{}
 	}
 	return m
 }
@@ -150,29 +126,8 @@ func (m *Machine) Release() {
 	machinePool.Put(m)
 }
 
-// Run executes prog from main() on a fresh machine (the VM counterpart of
-// interp.Run).
-func Run(prog *ir.Program, cfg interp.Config) (*interp.Result, error) {
-	m := New(prog, cfg)
-	main := prog.Func("main")
-	if main == nil {
-		return nil, fmt.Errorf("interp: program %q has no main function", prog.Name)
-	}
-	ret, err := m.Call(main, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	return &interp.Result{Steps: m.steps, BlockCount: m.blockCt, Ret: ret}, nil
-}
-
 // Steps returns the instructions retired so far (interp.Env).
 func (m *Machine) Steps() int64 { return m.steps }
-
-// BlockCounts returns per-block execution counts (nil unless enabled).
-func (m *Machine) BlockCounts() map[*ir.Block]int64 { return m.blockCt }
-
-// Program returns the program under execution.
-func (m *Machine) Program() *ir.Program { return m.code.prog }
 
 // NewObjectID mints a fresh heap object ID (interp.Env).
 func (m *Machine) NewObjectID() int64 {
@@ -190,10 +145,7 @@ func (m *Machine) Call(fn *ir.Func, args []ir.Value, parent *interp.Frame) (ir.V
 	if m.ctx != nil {
 		m.nextPoll = (m.steps>>8 + 1) << 8
 	}
-	m.stopAt = m.maxSteps + 1
-	if m.nextPoll < m.stopAt {
-		m.stopAt = m.nextPoll
-	}
+	m.arm()
 	return m.call(m.fnCodeFor(fn), args, parent)
 }
 
@@ -258,21 +210,37 @@ func get(regs, consts []ir.Value, o int32) ir.Value {
 	return consts[^o]
 }
 
-// trip is the slow path behind the fused dispatch-counter check: budget
-// first (exactly the interpreter's order), then a context poll every 256
-// steps, then the next stop point is rearmed.
-func (m *Machine) trip(fc *fnCode, pc int32) error {
-	if m.steps > m.maxSteps {
-		return &interp.BudgetError{Resource: "steps", Fn: fc.fn.Name, Block: fc.blkOf(pc).Name, Steps: m.steps, Limit: m.maxSteps}
-	}
-	if err := m.ctx.Err(); err != nil {
-		return &interp.CancelError{Fn: fc.fn.Name, Block: fc.blkOf(pc).Name, Steps: m.steps, Cause: err}
-	}
-	m.nextPoll += 256
+// arm sets stopAt to the next step that needs the slow path: the smallest
+// of budget + 1, the next context poll and a step trip still ahead.
+func (m *Machine) arm() {
 	m.stopAt = m.maxSteps + 1
 	if m.nextPoll < m.stopAt {
 		m.stopAt = m.nextPoll
 	}
+	if at := m.onStep.At; at > m.steps && at < m.stopAt {
+		m.stopAt = at
+	}
+}
+
+// trip is the slow path behind the fused dispatch-counter check, in the
+// interpreter's order: the budget, then a context poll every 256 steps,
+// then the step trip. It rearms the next stop point.
+func (m *Machine) trip(fc *fnCode, pc int32) error {
+	if m.steps > m.maxSteps {
+		return &interp.BudgetError{Resource: "steps", Fn: fc.fn.Name, Block: fc.blkOf(pc).Name, Steps: m.steps, Limit: m.maxSteps}
+	}
+	if m.steps == m.nextPoll {
+		if err := m.ctx.Err(); err != nil {
+			return &interp.CancelError{Fn: fc.fn.Name, Block: fc.blkOf(pc).Name, Steps: m.steps, Cause: err}
+		}
+		m.nextPoll += 256
+	}
+	if m.steps == m.onStep.At {
+		if err := m.onStep.Fire(fc.fn.Name); err != nil {
+			return err
+		}
+	}
+	m.arm()
 	return nil
 }
 
@@ -286,17 +254,13 @@ func (m *Machine) budgetErr(resource string, limit int64, fc *fnCode, pc int32) 
 	return &interp.BudgetError{Resource: resource, Fn: fc.fn.Name, Block: fc.blkOf(pc).Name, Steps: m.steps, Limit: limit}
 }
 
-// enter counts a block entry when block counting is on and returns its pc.
-// It stays small enough to inline: callers raise the tracer's block event.
-func (m *Machine) enter(fc *fnCode, bi int32) int32 {
+// enter returns block bi's pc. It stays small enough to inline: callers
+// raise the tracer's block event.
+func (fc *fnCode) enter(bi int32) int32 {
 	if bi < 0 {
 		nilBlockPanic()
 	}
-	bl := &fc.blocks[bi]
-	if m.blockCt != nil {
-		m.blockCt[bl.b] += bl.cost
-	}
-	return bl.pc
+	return fc.blocks[bi].pc
 }
 
 // nilBlockPanic reproduces the tree-walker's panic when a terminator names
@@ -329,7 +293,7 @@ func (m *Machine) exec(fc *fnCode, fr *interp.Frame, regs []ir.Value) (ir.Value,
 	if m.loops != nil {
 		loops = m.loops.Func(fc.fn)
 	}
-	pc := m.enter(fc, 0)
+	pc := fc.enter(0)
 	if m.tracer != nil {
 		m.tracer.OnBlock(fr, fc.blocks[0].b)
 	}
@@ -653,7 +617,7 @@ func (m *Machine) exec(fc *fnCode, fr *interp.Frame, regs []ir.Value) (ir.Value,
 					return ir.Value{}, err
 				}
 			}
-			pc = m.enter(fc, in.d)
+			pc = fc.enter(in.d)
 			if m.tracer != nil {
 				m.tracer.OnBlock(fr, fc.blocks[in.d].b)
 			}
@@ -672,7 +636,7 @@ func (m *Machine) exec(fc *fnCode, fr *interp.Frame, regs []ir.Value) (ir.Value,
 			if get(regs, consts, in.b).Bool() {
 				bi = in.d
 			}
-			pc = m.enter(fc, bi)
+			pc = fc.enter(bi)
 			if m.tracer != nil {
 				m.tracer.OnBlock(fr, fc.blocks[bi].b)
 			}
@@ -809,7 +773,7 @@ func (m *Machine) exec(fc *fnCode, fr *interp.Frame, regs []ir.Value) (ir.Value,
 			if v.Bool() {
 				bi = ext[0]
 			}
-			pc = m.enter(fc, bi)
+			pc = fc.enter(bi)
 			if m.tracer != nil {
 				m.tracer.OnBlock(fr, fc.blocks[bi].b)
 			}

@@ -15,6 +15,8 @@ import (
 	"dca/internal/ir"
 	"dca/internal/irbuild"
 	"dca/internal/vm"
+	"dca/internal/workloads/npb"
+	"dca/internal/workloads/plds"
 )
 
 func compile(t testing.TB, src string) *ir.Program {
@@ -28,8 +30,7 @@ func compile(t testing.TB, src string) *ir.Program {
 
 // runBoth executes prog's main on both executors with fresh configs from
 // mkCfg and returns (vm output, interp output, vm machine, interp machine,
-// vm error, interp error). The same *ir.Program is shared, so block
-// pointers in BlockCounts are comparable across the two.
+// vm error, interp error). mkCfg is called for the VM first.
 func runBoth(t testing.TB, prog *ir.Program, mkCfg func(out *strings.Builder) interp.Config) (string, string, *vm.Machine, *interp.Interp, error, error) {
 	t.Helper()
 	main := prog.Func("main")
@@ -45,8 +46,9 @@ func runBoth(t testing.TB, prog *ir.Program, mkCfg func(out *strings.Builder) in
 }
 
 // assertParity demands byte-identical output, identical step counts, and
-// identical error strings (including nil-ness) from the two executors.
-func assertParity(t *testing.T, prog *ir.Program, mkCfg func(out *strings.Builder) interp.Config) {
+// identical error strings (including nil-ness) from the two executors. It
+// returns the VM's error.
+func assertParity(t *testing.T, prog *ir.Program, mkCfg func(out *strings.Builder) interp.Config) error {
 	t.Helper()
 	outV, outI, mv, mi, errV, errI := runBoth(t, prog, mkCfg)
 	if (errV == nil) != (errI == nil) {
@@ -61,18 +63,22 @@ func assertParity(t *testing.T, prog *ir.Program, mkCfg func(out *strings.Builde
 	if mv.Steps() != mi.Steps() {
 		t.Errorf("step divergence: vm=%d interp=%d", mv.Steps(), mi.Steps())
 	}
+	return errV
 }
 
-// TestCorpusParity runs every frontend testdata program on both executors
-// and demands identical output, steps, and block counts — the byte-identical
-// contract the dynamic stage's verdict tables rest on.
+// plain configures a run with output capture and nothing else.
+func plain(out *strings.Builder) interp.Config { return interp.Config{Out: out} }
+
+// TestCorpusParity runs every frontend testdata program, the ten NPB
+// proxies and the PLDS programs on both executors and demands identical
+// output and steps — the byte-identical contract the dynamic stage's
+// verdict tables rest on.
 func TestCorpusParity(t *testing.T) {
 	srcs, err := filepath.Glob(filepath.Join("..", "interp", "testdata", "*.mc"))
 	if err != nil || len(srcs) == 0 {
 		t.Fatalf("no corpus programs: %v", err)
 	}
 	for _, src := range srcs {
-		src := src
 		t.Run(filepath.Base(src), func(t *testing.T) {
 			text, err := os.ReadFile(src)
 			if err != nil {
@@ -82,26 +88,25 @@ func TestCorpusParity(t *testing.T) {
 			if err != nil {
 				t.Fatalf("compile: %v", err)
 			}
-			assertParity(t, prog, func(out *strings.Builder) interp.Config {
-				return interp.Config{Out: out}
-			})
-			// Block counts from a separate pair of runs (counting is optional
-			// and must not perturb the uncounted runs above).
-			_, _, mv, mi, errV, errI := runBoth(t, prog, func(out *strings.Builder) interp.Config {
-				return interp.Config{Out: out, CountBlocks: true}
-			})
-			if errV != nil || errI != nil {
-				t.Fatalf("counted run failed: vm=%v interp=%v", errV, errI)
+			assertParity(t, prog, plain)
+		})
+	}
+	for _, s := range npb.Specs() {
+		t.Run("npb-"+s.Name, func(t *testing.T) {
+			prog, err := s.Compile()
+			if err != nil {
+				t.Fatal(err)
 			}
-			cv, ci := mv.BlockCounts(), mi.BlockCounts()
-			if len(cv) != len(ci) {
-				t.Fatalf("block-count table sizes diverge: vm=%d interp=%d", len(cv), len(ci))
+			assertParity(t, prog, plain)
+		})
+	}
+	for _, p := range plds.Programs() {
+		t.Run("plds-"+p.Name, func(t *testing.T) {
+			prog, err := p.Compile()
+			if err != nil {
+				t.Fatal(err)
 			}
-			for b, n := range ci {
-				if cv[b] != n {
-					t.Errorf("block %s: vm=%d interp=%d", b.Name, cv[b], n)
-				}
-			}
+			assertParity(t, prog, plain)
 		})
 	}
 }
@@ -161,6 +166,92 @@ func TestHeapBudgetParity(t *testing.T) {
 	assertParity(t, compile(t, src), func(out *strings.Builder) interp.Config {
 		return interp.Config{Out: out, MaxHeapObjects: 10}
 	})
+}
+
+// TestOutputBudgetParity: the output budget trips at the same print, with
+// the same error and the same truncated output, on both executors.
+func TestOutputBudgetParity(t *testing.T) {
+	prog := compile(t, `func main() { for (var i int = 0; i < 10000; i++) { print(i); } }`)
+	err := assertParity(t, prog, func(out *strings.Builder) interp.Config {
+		return interp.Config{Out: out, MaxOutput: 64}
+	})
+	var be *interp.BudgetError
+	if !errors.As(err, &be) || be.Resource != "output-bytes" {
+		t.Fatalf("want an output-bytes budget error, got %v", err)
+	}
+}
+
+// tripSrc has every kind of step a trip can land on: plain instructions, a
+// call, both halves of a fused load+binop (in add) and of a fused
+// compare+branch (the loop header), goto, if and ret terminators, and
+// prints. It runs past several 256-step context polls.
+const tripSrc = `
+func add(a []int, i int) int { return a[i] + i; }
+func main() {
+	var a []int = new [40]int;
+	var s int = 0;
+	for (var i int = 0; i < 40; i++) {
+		a[i] = i * 2;
+		s = s + add(a, i);
+		if (i % 10 == 0) { print(s); }
+	}
+	print(s);
+}`
+
+// TestTripParity arms a step trip at every step of a run and one past its
+// end, with and without a context to poll. Both executors must call it
+// once at that very step and stop there with the same error text, steps
+// and output: the trip's error unwrapped in the frame that tripped and
+// wrapped by each caller. A trip that returns nil must let the run finish
+// untouched.
+func TestTripParity(t *testing.T) {
+	prog := compile(t, tripSrc)
+	_, _, mv, _, errV, errI := runBoth(t, prog, plain)
+	if errV != nil || errI != nil {
+		t.Fatalf("untripped run failed: vm=%v interp=%v", errV, errI)
+	}
+	total := mv.Steps()
+	for _, ctx := range []context.Context{nil, context.Background()} {
+		for at := int64(1); at <= total+1; at++ {
+			var fired []string
+			mk := func(stop bool) func(out *strings.Builder) interp.Config {
+				return func(out *strings.Builder) interp.Config {
+					return interp.Config{Out: out, Ctx: ctx, Trip: interp.StepTrip{At: at, Fire: func(fn string) error {
+						fired = append(fired, fn)
+						if stop {
+							return fmt.Errorf("tripped in %s", fn)
+						}
+						return nil
+					}}}
+				}
+			}
+			outV, outI, mv, mi, errV, errI := runBoth(t, prog, mk(true))
+			if at > total {
+				if errV != nil || errI != nil || len(fired) != 0 {
+					t.Fatalf("trip past the end (%d) fired %v: vm=%v interp=%v", at, fired, errV, errI)
+				}
+				continue
+			}
+			if len(fired) != 2 || fired[0] != fired[1] {
+				t.Fatalf("trip at %d: fired in %v, want once per executor in one function", at, fired)
+			}
+			want := "tripped in " + fired[0]
+			if fired[0] != "main" {
+				want = "main: t6 = add(a, i): " + want
+			}
+			if errV == nil || errI == nil || errV.Error() != want || errI.Error() != want {
+				t.Fatalf("trip at %d: want %q from both, got vm=%v interp=%v", at, want, errV, errI)
+			}
+			if mv.Steps() != at || mi.Steps() != at || outV != outI {
+				t.Fatalf("trip at %d: stopped at vm=%d interp=%d with output vm=%q interp=%q", at, mv.Steps(), mi.Steps(), outV, outI)
+			}
+			fired = nil
+			assertParity(t, prog, mk(false))
+			if len(fired) != 2 {
+				t.Fatalf("nil-returning trip at %d fired %d times, want once per executor", at, len(fired))
+			}
+		}
+	}
 }
 
 // TestCancelParity: a pre-cancelled context stops both executors with
@@ -253,32 +344,6 @@ func TestFootprintParity(t *testing.T) {
 		}
 	}
 }
-
-// TestSupported: StepHook's per-instruction callback and a per-execution
-// NoVM keep runs off the VM; a Tracer does not, since the VM raises its
-// events itself.
-func TestSupported(t *testing.T) {
-	if !vm.Supported(interp.Config{}) {
-		t.Error("plain config should be VM-supported")
-	}
-	if vm.Supported(interp.Config{StepHook: func(*interp.Frame, ir.Instr, int64) error { return nil }}) {
-		t.Error("StepHook config must not be VM-supported")
-	}
-	if !vm.Supported(interp.Config{Tracer: nopTracer{}}) {
-		t.Error("Tracer config should be VM-supported")
-	}
-	if vm.Supported(interp.Config{NoVM: true}) {
-		t.Error("NoVM config must not be VM-supported")
-	}
-}
-
-type nopTracer struct{}
-
-func (nopTracer) OnBlock(*interp.Frame, *ir.Block)                  {}
-func (nopTracer) OnLoad(*interp.Frame, *ir.Load, *ir.Object, int)   {}
-func (nopTracer) OnStore(*interp.Frame, *ir.Store, *ir.Object, int) {}
-func (nopTracer) OnCall(*interp.Frame)                              {}
-func (nopTracer) OnRet(*interp.Frame)                               {}
 
 // event is one tracer callback as an executor raised it.
 type event struct {
