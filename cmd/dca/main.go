@@ -258,13 +258,7 @@ func cmdAnalyze(args []string) error {
 	start := time.Now()
 	// The program executes uninstrumented once: DCA's reference run also
 	// builds the dependence profile -baselines reads.
-	var prof *depprof.Builder
-	var tracer interp.Tracer
-	if *baselines {
-		prof = depprof.NewBuilder(prog)
-		tracer = prof
-	}
-	ref, err := core.RunReference(ctx, prog, opts, tracer)
+	ref, err := core.RunReference(ctx, prog, opts, *baselines)
 	if err != nil {
 		return err
 	}
@@ -304,11 +298,10 @@ func cmdAnalyze(args []string) error {
 		return nil
 	}
 	// One dependence profile serves both dependence profilers.
-	profile := prof.Profile(ref.Steps, false)
-	dp := depprof.AnalyzeProfile(prog, profile, depprof.DefaultPolicy())
+	dp := depprof.AnalyzeProfile(prog, ref.Profile, depprof.DefaultPolicy())
 	fmt.Println("\n== Dependence Profiling ==")
 	fmt.Print(dp)
-	dpp := discopop.AnalyzeProfile(prog, profile)
+	dpp := discopop.AnalyzeProfile(prog, ref.Profile)
 	fmt.Println("\n== DiscoPoP ==")
 	fmt.Print(dpp)
 	fmt.Println("\n== Idioms ==")

@@ -102,12 +102,11 @@ func RunNPBCore(spec *npb.Spec, pool *engine.Pool, opt core.Options) (*NPBResult
 	if len(opt.Schedules) == 0 {
 		opt.Schedules = npbSchedules()
 	}
-	builder := depprof.NewBuilder(prog)
-	ref, err := core.RunReference(nil, prog, opt, builder)
+	ref, err := core.RunReference(nil, prog, opt, true)
 	if err != nil {
 		return nil, fmt.Errorf("%s: dca: %w", spec.Name, err)
 	}
-	r.Prof = builder.Profile(ref.Steps, false)
+	r.Prof = ref.Profile
 	r.DP = depprof.AnalyzeProfile(prog, r.Prof, depprof.DefaultPolicy())
 	r.DiP = discopop.AnalyzeProfile(prog, r.Prof)
 	r.ID = idioms.Analyze(prog)

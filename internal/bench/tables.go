@@ -321,12 +321,11 @@ func RunPLDSCore(p *plds.Program, opt core.Options) (*PLDSResult, error) {
 		return nil, fmt.Errorf("%s: %s has %d loops", p.Name, p.KeyFn, len(loops))
 	}
 	res := &PLDSResult{Program: p}
-	builder := depprof.NewBuilder(prog)
-	ref, err := core.RunReference(nil, prog, opt, builder)
+	ref, err := core.RunReference(nil, prog, opt, true)
 	if err != nil {
 		return nil, fmt.Errorf("%s: dca: %w", p.Name, err)
 	}
-	prof := builder.Profile(ref.Steps, false)
+	prof := ref.Profile
 
 	keyOpt := opt
 	keyOpt.Schedules = []dcart.Schedule{dcart.Reverse{}, dcart.Random{Seed: 1}, dcart.Random{Seed: 2}}

@@ -18,6 +18,7 @@ import (
 
 	"dca/internal/cfg"
 	"dca/internal/dcart"
+	"dca/internal/depprof"
 	"dca/internal/instrument"
 	"dca/internal/interp"
 	"dca/internal/ir"
@@ -362,7 +363,7 @@ func (o *Options) InjectionEnabled() bool {
 func Analyze(prog *ir.Program, opt Options) (*Report, error) {
 	opt.normalize()
 	rep := &Report{Prog: prog}
-	ref, err := RunReference(nil, prog, opt, nil)
+	ref, err := RunReference(nil, prog, opt, false)
 	if err != nil {
 		return nil, err
 	}
@@ -402,7 +403,7 @@ func AnalyzeLoop(prog *ir.Program, fnName string, loopIndex int, opt Options) (*
 		return nil, fmt.Errorf("core: %s has %d loops", fnName, len(loops))
 	}
 	loop := loops[loopIndex]
-	ref, err := RunReference(nil, prog, opt, nil)
+	ref, err := RunReference(nil, prog, opt, false)
 	if err != nil {
 		return nil, err
 	}
@@ -412,34 +413,40 @@ func AnalyzeLoop(prog *ir.Program, fnName string, loopIndex int, opt Options) (*
 }
 
 // Reference is what one uninstrumented run of the whole program observed:
-// its output, which every instrumented run must reproduce, and — unless
-// Options.NoFootprint is set — each loop's invocation and iteration counts
-// and whether its iterations touched disjoint heap cells. AnalyzeLoopInto
-// decides loops from this evidence without any instrumented execution.
+// its output, which every instrumented run must reproduce, on request its
+// dependence profile, and — unless Options.NoFootprint is set — each loop's
+// invocation and iteration counts and whether its iterations touched
+// disjoint heap cells. AnalyzeLoopInto decides loops from this evidence
+// without any instrumented execution.
 type Reference struct {
 	// Out is the program's output.
 	Out string
 	// Steps is the number of instructions the run retired.
 	Steps int64
-	loops *interp.LoopRecorder
+	// Profile is the run's dependence profile (DepProf, DiscoPoP and
+	// Table IV's coverage read it); nil unless RunReference was asked for it.
+	Profile  *depprof.Profile
+	evidence *depprof.Builder
 }
 
-// RunReference runs prog once, uninstrumented, under opt's budgets and
-// executor, recording every loop at once unless opt.NoFootprint is set.
-// tr, when non-nil, observes the same run as its Tracer: the dependence
-// profile builder (depprof.NewBuilder) rides along, so a program executes
-// uninstrumented once, on the VM like any other run. It emits one
-// reference trace event, ok or trap. A trap is fatal for the whole
-// analysis — with no reference behaviour there is nothing to compare any
-// loop's runs against — and so is a cancelled ctx (nil means Background),
-// which the error then wraps.
-func RunReference(ctx context.Context, prog *ir.Program, opt Options, tr interp.Tracer) (*Reference, error) {
+// RunReference runs prog once, uninstrumented, on the VM under opt's
+// budgets, with one observer (depprof.Builder) recording every loop at
+// once unless opt.NoFootprint is set. profile asks the same observer for
+// the program's dependence profile too, so a program executes
+// uninstrumented once; under NoFootprint the observer then records the
+// evidence, but nothing reads it. It emits one reference trace event, ok or
+// trap. A trap is fatal for the whole analysis — with no reference
+// behaviour there is nothing to compare any loop's runs against — and so is
+// a cancelled ctx (nil means Background), which the error then wraps.
+func RunReference(ctx context.Context, prog *ir.Program, opt Options, profile bool) (*Reference, error) {
 	opt.normalize()
 	start := time.Now()
 	var out strings.Builder
-	cfg := interp.Config{Out: &out, Tracer: tr}
-	if !opt.NoFootprint {
-		cfg.Loops = interp.NewLoopRecorder(prog)
+	cfg := interp.Config{Out: &out}
+	var b *depprof.Builder
+	if profile || !opt.NoFootprint {
+		b = depprof.NewBuilder(prog, profile)
+		cfg.Tracer = b
 	}
 	oc := sandbox.Run(ctx, prog, cfg, opt.Limits(), nil)
 	ev := obs.Event{Stage: obs.StageReference, Outcome: obs.OutcomeOK,
@@ -453,7 +460,14 @@ func RunReference(ctx context.Context, prog *ir.Program, opt Options, tr interp.
 		return nil, fmt.Errorf("core: reference execution failed (%s): %w", oc.Trap.Kind, oc.Trap)
 	}
 	opt.emit(ev)
-	return &Reference{Out: out.String(), Steps: oc.Result.Steps, loops: cfg.Loops}, nil
+	ref := &Reference{Out: out.String(), Steps: oc.Result.Steps}
+	if profile {
+		ref.Profile = b.Profile(ref.Steps, false)
+	}
+	if !opt.NoFootprint {
+		ref.evidence = b
+	}
+	return ref, nil
 }
 
 // observed returns the reference run's evidence for one loop, counting its
@@ -462,11 +476,11 @@ func RunReference(ctx context.Context, prog *ir.Program, opt Options, tr interp.
 // reference run recorded. ok is false when the run recorded nothing
 // (NoFootprint) or the loop was re-entered while active: a recursive loop
 // is only ever decided by its golden run.
-func (r *Reference) observed(sep *iterrec.Separation) (run interp.LoopRun, ok bool) {
-	if r.loops == nil {
+func (r *Reference) observed(sep *iterrec.Separation) (run depprof.LoopRun, ok bool) {
+	if r.evidence == nil {
 		return run, false
 	}
-	run, ok = r.loops.Loop(sep.Fn, sep.Loop.Index, sep.B0.Index)
+	run, ok = r.evidence.Loop(sep.Fn, sep.Loop.Index, sep.B0.Index)
 	return run, ok && !run.Reentered
 }
 
@@ -640,7 +654,7 @@ func AnalyzeLoopInto(ctx context.Context, prog *ir.Program, fn *ir.Func, loop *c
 	// injection bypasses it, as it bypasses the prover and the cache: an
 	// injected trap is dynamic-stage harness behaviour no decision from the
 	// reference run may suppress.
-	var seen interp.LoopRun
+	var seen depprof.LoopRun
 	decidable := false
 	if inj == nil {
 		seen, decidable = ref.observed(sep.Sep)

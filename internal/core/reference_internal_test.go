@@ -30,7 +30,7 @@ func TestReferenceCountsMatchGoldenRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := Options{}.Normalized()
-	ref, err := RunReference(nil, prog, opt, nil)
+	ref, err := RunReference(nil, prog, opt, false)
 	if err != nil {
 		t.Fatal(err)
 	}

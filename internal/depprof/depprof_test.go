@@ -390,3 +390,37 @@ func TestImpureCalleeReasonIsReproducible(t *testing.T) {
 		}
 	}
 }
+
+// TestWARFromEarlierReaders: iterations 0-2 read a[0] and iteration 3 reads
+// and then writes it, so the write carries an anti-dependence from the
+// earlier readers even though the writing iteration read the cell too. The
+// reverse schedule changes the output. Both profilers must see a failed
+// privatization and report the loop serial.
+func TestWARFromEarlierReaders(t *testing.T) {
+	prog, err := irbuild.Compile("t.mc", `
+func main() {
+	var a []int = new [4]int; var b []int = new [4]int; a[0] = 5;
+	for (var i int = 0; i < 4; i++) { b[i] = a[0]; if (i == 3) { a[0] = 7; } }
+	print(b[0]); print(b[3]);
+}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof, err := depprof.Trace(prog, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lp := prof.Loops[depprof.LoopKey{Fn: "main", Index: 0}]; !lp.NeedPriv || lp.FatalRAW {
+		t.Errorf("profile: NeedPriv=%v FatalRAW=%v, want a carried anti-dependence only", lp.NeedPriv, lp.FatalRAW)
+	}
+	const want = "1 address(es) fail the write-first privatization test"
+	for name, rep := range map[string]*depprof.Report{
+		"DepProf":  depprof.AnalyzeProfile(prog, prof, depprof.DefaultPolicy()),
+		"DiscoPoP": discopop.AnalyzeProfile(prog, prof).Loops,
+	} {
+		v := rep.Verdict("main", 0)
+		if v == nil || v.Parallel || len(v.Reasons) != 1 || v.Reasons[0] != want {
+			t.Errorf("%s: verdict %+v, want serial with the one reason %q", name, v, want)
+		}
+	}
+}

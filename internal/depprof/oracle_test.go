@@ -11,7 +11,6 @@ import (
 
 	"dca/internal/affine"
 	"dca/internal/cfg"
-	"dca/internal/core"
 	"dca/internal/fuzzgen"
 	"dca/internal/interp"
 	"dca/internal/ir"
@@ -34,7 +33,7 @@ type refAddr struct {
 
 type refAddrState struct {
 	lastWriteIter int64
-	lastReadIter  int64
+	firstReadIter int64
 	curIter       int64
 	writtenInCur  bool
 	everReadFirst bool
@@ -207,7 +206,9 @@ func (tr *refTracer) OnLoad(_ *interp.Frame, in *ir.Load, obj *ir.Object, idx in
 				st.raw = true
 			}
 		}
-		st.lastReadIter = inv.iter
+		if st.firstReadIter == 0 {
+			st.firstReadIter = inv.iter
+		}
 		st.updateGroup(g, hasG)
 	}
 }
@@ -221,7 +222,7 @@ func (tr *refTracer) OnStore(_ *interp.Frame, in *ir.Store, obj *ir.Object, idx 
 			st.curIter = inv.iter
 			st.writtenInCur = false
 		}
-		if st.lastReadIter > 0 && st.lastReadIter != inv.iter {
+		if st.firstReadIter > 0 && st.firstReadIter != inv.iter {
 			st.war = true
 		}
 		if st.lastWriteIter > 0 && st.lastWriteIter != inv.iter {
@@ -280,7 +281,7 @@ func (tr *refTracer) closeInvocation(inv *refInvocation) {
 
 // vmTrace runs prog on the bytecode VM under a Builder.
 func vmTrace(prog *ir.Program, maxSteps int64) (*Profile, error) {
-	b := NewBuilder(prog)
+	b := NewBuilder(prog, true)
 	m := vm.New(prog, interp.Config{Tracer: b, MaxSteps: maxSteps})
 	_, err := m.Call(prog.Func("main"), nil, nil)
 	var be *interp.BudgetError
@@ -420,45 +421,4 @@ func TestBuilderMatchesReference(t *testing.T) {
 			}
 		}
 	}
-}
-
-// BenchmarkUninstrumented compares the uninstrumented work per pass over
-// the ten NPB proxies: the old path — a map-based trace on the tree-walker
-// plus the reference run on the VM — against the one reference run that
-// also builds the profile.
-func BenchmarkUninstrumented(b *testing.B) {
-	var progs []*ir.Program
-	for _, s := range npb.Specs() {
-		prog, err := s.Compile()
-		if err != nil {
-			b.Fatal(err)
-		}
-		progs = append(progs, prog)
-	}
-	b.Run("trace+reference", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for _, prog := range progs {
-				if _, err := refTrace(prog, 0); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := core.RunReference(nil, prog, core.Options{}, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-	b.Run("fused", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for _, prog := range progs {
-				builder := NewBuilder(prog)
-				ref, err := core.RunReference(nil, prog, core.Options{}, builder)
-				if err != nil {
-					b.Fatal(err)
-				}
-				builder.Profile(ref.Steps, false)
-			}
-		}
-	})
 }

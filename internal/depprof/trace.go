@@ -11,10 +11,11 @@
 // dependence that is neither induction nor reduction, so dependence
 // profiling must reject every PLDS traversal that DCA accepts.
 //
-// The profile is built by a Builder attached as the Tracer of one
-// uninstrumented execution, on either executor. The analysis pipeline
-// attaches it to the reference run it makes anyway (core.RunReference),
-// so a program executes uninstrumented once; Trace is the standalone form.
+// The Builder is the one observer of the analysis pipeline's uninstrumented
+// reference run (core.RunReference), attached as its Tracer on either
+// executor. It always records DCA's per-loop evidence (LoopRun) and, on
+// request, the dependence profile, so a program executes uninstrumented
+// once; Trace is the profile's standalone form.
 package depprof
 
 import (
@@ -74,7 +75,7 @@ type Profile struct {
 // executor's default) and returns its dependence profile. It runs on the
 // bytecode VM, like every sandboxed execution.
 func Trace(prog *ir.Program, maxSteps int64) (*Profile, error) {
-	b := NewBuilder(prog)
+	b := NewBuilder(prog, true)
 	oc := sandbox.Run(nil, prog, interp.Config{Tracer: b}, sandbox.Limits{MaxSteps: maxSteps}, nil)
 	switch {
 	case oc.OK():
@@ -90,39 +91,88 @@ func Trace(prog *ir.Program, maxSteps int64) (*Profile, error) {
 	}
 }
 
-// Builder builds the dependence profile of one execution: attach it as
-// the run's interp.Config.Tracer, then call Profile once the run is over.
-// A Builder serves exactly one run and is not safe for concurrent use.
+// LoopRun is what one run observed of one loop: the evidence DCA decides
+// loops from without an instrumented golden run.
+type LoopRun struct {
+	// Invocations counts entries into the loop from outside it.
+	Invocations int64
+	// Iterations counts entries into the loop's payload-entry block.
+	Iterations int64
+	// Reentered reports that the loop was entered again while one of its
+	// invocations was active.
+	Reentered bool
+	// Disjoint reports that no heap cell written in one iteration was read
+	// or written by another iteration of the same invocation, and that the
+	// payload-entry block lies in the loop itself rather than in a loop
+	// nested in it, so each iteration ran at most one payload. Only
+	// meaningful when Reentered is false.
+	Disjoint bool
+}
+
+// Builder observes one execution, attached as its interp.Config.Tracer. It
+// records, for every natural loop of the program, the evidence Loop
+// returns:
 //
-// Everything the hot callbacks touch is dense. Loops have program-wide ids
-// and each block position its outermost-first chain of loop ids. Each
-// active loop invocation owns the cell table at its depth of the active
-// stack; the table is reset by an epoch bump and lists the slots its
-// invocation touched, so closing an invocation costs only those cells. A
-// loop's coverage is the difference of a running block-cost counter
-// between its invocations' opening and closing. The exported maps are
-// filled once, by Profile.
+//   - Invocations: entries into the loop from outside it.
+//   - Entries into every block of a function with loops, so a caller can
+//     count the entries into a loop's payload-entry block once separation
+//     has named it.
+//   - Re-entry: the loop was opened while an invocation of it was active
+//     (recursion through the loop).
+//   - Conflict: some heap cell written in one iteration was read or
+//     written by another iteration of the same invocation. A store of the
+//     value the cell already holds (a silent store) counts as a read: the
+//     instrumented golden run this evidence stands in for writes every
+//     environment field back each iteration. A loop stops being tracked at
+//     its first conflict or re-entry.
+//
+// A builder made with the profile also builds the dependence profile, which
+// Profile returns once the run is over. A Builder serves exactly one run and
+// is not safe for concurrent use.
+//
+// An iteration is a segment of the run between two entries into the loop's
+// header, and every heap access counts for every active invocation, callees'
+// accesses included. Everything the hot callbacks touch is dense. Loops have
+// program-wide ids; each block position has the id of the innermost loop
+// containing it, and each loop its chain of enclosing loop ids, outermost
+// first. Each active loop invocation owns the cell table at its depth of the
+// active stack; the table is reset by an epoch bump and lists the slots its
+// invocation touched, so closing an invocation costs only those cells.
+//
+// Without the profile the builder keeps block tables only for functions
+// with loops, skips reduction groups, coverage and nesting, and returns from
+// a load or store at once while no invocation is tracked. With it, a loop's
+// coverage is the difference of a running block-cost counter between its
+// invocations' opening and closing, and Profile fills the profile's maps
+// once, reading header entries and body executions off the block entries.
 type Builder struct {
-	fns   map[*ir.Func]*fnTable
-	loops []loopInfo
-	lps   []*LoopProfile // by loop id
-	steps []int64        // coverage by loop id
-	// contains[a] is a bitset over loop ids, allocated on a's first
-	// observed descendant.
-	contains [][]uint64
+	profile bool
+	fns     map[*ir.Func]*fnTable
+	loops   []loopInfo
+	tracked int // active invocations recording their loop's footprint
 
 	frames []frameState
 	active []invocation // across frames, innermost last
 	tabs   []cellTable  // tabs[d] holds active[d]'s cells
-	clock  int64        // block costs entered so far
+
+	// The profile's share; nil without it.
+	lps   []LoopProfile // by loop id
+	steps []int64       // coverage by loop id
+	// contains[a] is a bitset over loop ids, allocated on a's first
+	// observed descendant.
+	contains [][]uint64
+	clock    int64 // block costs entered so far
 }
 
 // fnTable is one function's static share of the builder, by block
 // position in Fn.Blocks.
 type fnTable struct {
-	fn     *ir.Func
-	chains [][]int32      // loop ids containing the block, outermost first; nil without loops
-	groups [][]instrGroup // the block's reduction-group accesses; nil without any
+	fn      *ir.Func
+	base    int32          // loop id of the function's loop 0
+	nloops  int32          // loops of the function
+	inner   []int32        // loop id of the innermost loop containing the block, -1 if none; nil without loops
+	entries []int64        // entries into the block; nil without loops
+	groups  [][]instrGroup // the block's reduction-group accesses; nil without any
 }
 
 type instrGroup struct {
@@ -131,10 +181,19 @@ type instrGroup struct {
 }
 
 type loopInfo struct {
-	key    LoopKey
-	header int32 // header block position
-	single bool  // one-block loop: a header entry is a body execution
+	key         LoopKey
+	loop        *cfg.Loop
+	chain       []int32 // ids of the loop and the loops enclosing it, outermost first
+	header      int32   // header block position
+	single      bool    // one-block loop: a header entry is a body execution
+	reentered   bool
+	conflict    bool
+	active      int32 // invocations on the active stack
+	invocations int64
 }
+
+// tracked reports whether the loop's footprint is still being recorded.
+func (l *loopInfo) tracked() bool { return !l.conflict && !l.reentered }
 
 type frameState struct {
 	tab    *fnTable
@@ -143,48 +202,60 @@ type frameState struct {
 }
 
 type invocation struct {
-	loop  int32
-	iter  int64
-	start int64 // clock at opening
+	loop    int32
+	tracked bool // counted in Builder.tracked
+	iter    int64
+	start   int64 // clock at opening
 }
 
-// NewBuilder prepares a builder for every loop of prog. Reduction groups
+// NewBuilder prepares a builder for every loop of prog; profile asks for
+// the dependence profile as well as the evidence. Reduction groups
 // (affine.MemReductionGroups) are numbered program-wide: the per-function
 // numbers all start at 1, and two functions' groups must not merge.
-func NewBuilder(prog *ir.Program) *Builder {
-	b := &Builder{fns: make(map[*ir.Func]*fnTable, len(prog.Funcs))}
+func NewBuilder(prog *ir.Program, profile bool) *Builder {
+	b := &Builder{profile: profile, fns: make(map[*ir.Func]*fnTable, len(prog.Funcs))}
 	groupBase := int32(0)
 	for _, fn := range prog.Funcs {
-		t := &fnTable{fn: fn}
-		b.fns[fn] = t
 		loops := cfg.Loops(prog, fn)
-		base := int32(len(b.loops))
-		for _, l := range loops {
-			key := LoopKey{fn.Name, l.Index}
-			b.loops = append(b.loops, loopInfo{key: key, header: int32(fn.Position(l.Header)), single: len(l.Blocks) == 1})
-			b.lps = append(b.lps, &LoopProfile{Key: key, Loop: l})
+		var groups map[ir.Instr]int
+		if profile {
+			groups = affine.MemReductionGroups(fn)
 		}
+		if len(loops) == 0 && len(groups) == 0 {
+			continue
+		}
+		t := &fnTable{fn: fn, base: int32(len(b.loops)), nloops: int32(len(loops))}
+		b.fns[fn] = t
 		if len(loops) > 0 {
-			t.chains = make([][]int32, len(fn.Blocks))
-			for p, blk := range fn.Blocks {
-				var chain []*cfg.Loop
-				for _, l := range loops {
-					if l.Blocks[blk] {
-						chain = append(chain, l)
-					}
+			// A loop's chain is its ancestors and itself; the loops containing
+			// a block are the chain of the deepest one.
+			n := 0
+			for _, l := range loops {
+				n += l.Depth
+			}
+			flat := make([]int32, n)
+			for _, l := range loops {
+				chain := flat[:l.Depth:l.Depth]
+				flat = flat[l.Depth:]
+				for x := l; x != nil; x = x.Parent {
+					chain[x.Depth-1] = t.base + int32(x.Index)
 				}
-				// Loops containing one block are nested: depths are distinct.
-				for i := 1; i < len(chain); i++ {
-					for j := i; j > 0 && chain[j].Depth < chain[j-1].Depth; j-- {
-						chain[j], chain[j-1] = chain[j-1], chain[j]
+				b.loops = append(b.loops, loopInfo{key: LoopKey{fn.Name, l.Index}, loop: l, chain: chain,
+					header: int32(fn.Position(l.Header)), single: len(l.Blocks) == 1})
+			}
+			t.inner = make([]int32, len(fn.Blocks))
+			t.entries = make([]int64, len(fn.Blocks))
+			for p := range t.inner {
+				t.inner[p] = -1
+			}
+			for _, l := range loops {
+				for blk := range l.Blocks {
+					if p := fn.Position(blk); p >= 0 && (t.inner[p] < 0 || l.Depth > len(b.loops[t.inner[p]].chain)) {
+						t.inner[p] = t.base + int32(l.Index)
 					}
-				}
-				for _, l := range chain {
-					t.chains[p] = append(t.chains[p], base+int32(l.Index))
 				}
 			}
 		}
-		groups := affine.MemReductionGroups(fn)
 		maxGroup := int32(0)
 		for _, g := range groups {
 			maxGroup = max(maxGroup, int32(g))
@@ -201,15 +272,44 @@ func NewBuilder(prog *ir.Program) *Builder {
 		}
 		groupBase += maxGroup
 	}
-	b.steps = make([]int64, len(b.loops))
-	b.contains = make([][]uint64, len(b.loops))
+	if profile {
+		b.lps = make([]LoopProfile, len(b.loops))
+		for id, l := range b.loops {
+			b.lps[id] = LoopProfile{Key: l.key, Loop: l.loop}
+		}
+		b.steps = make([]int64, len(b.loops))
+		b.contains = make([][]uint64, len(b.loops))
+	}
 	return b
 }
 
+// Loop returns what the run observed of fn's loop with the given cfg.Loops
+// index, counting its iterations as the entries into the block at position
+// entry of fn.Blocks — the loop's payload-entry block. ok is false when fn
+// has no such loop or block.
+func (b *Builder) Loop(fn *ir.Func, index, entry int) (run LoopRun, ok bool) {
+	t := b.fns[fn]
+	if t == nil || index < 0 || index >= int(t.nloops) || entry < 0 || entry >= len(t.entries) {
+		return LoopRun{}, false
+	}
+	id := t.base + int32(index)
+	l := &b.loops[id]
+	return LoopRun{
+		Invocations: l.invocations,
+		Iterations:  t.entries[entry],
+		Reentered:   l.reentered,
+		Disjoint:    !l.conflict && t.inner[entry] == id,
+	}, true
+}
+
 // Profile closes every invocation still open (the program ended inside
-// loops) and returns the profile. steps is the run's retired instruction
-// count; truncated marks a run its step budget cut short.
+// loops) and returns the profile, nil for a builder made without it. steps
+// is the run's retired instruction count; truncated marks a run its step
+// budget cut short.
 func (b *Builder) Profile(steps int64, truncated bool) *Profile {
+	if !b.profile {
+		return nil
+	}
 	for len(b.active) > 0 {
 		b.close()
 	}
@@ -220,8 +320,29 @@ func (b *Builder) Profile(steps int64, truncated bool) *Profile {
 		Contains:  map[LoopKey]map[LoopKey]bool{},
 		Truncated: truncated,
 	}
+	// A block is entered only while the loops containing it are active, so
+	// the entry counts say which loops ran their body, and a header's
+	// entries are its loop's iterations.
+	for _, t := range b.fns {
+		for p, n := range t.entries {
+			if n == 0 || t.inner[p] < 0 {
+				continue
+			}
+			for _, id := range b.loops[t.inner[p]].chain {
+				l, lp := &b.loops[id], &b.lps[id]
+				if l.header == int32(p) {
+					lp.Iterations = n
+				}
+				if l.header != int32(p) || l.single {
+					lp.BodyExecuted = true
+				}
+			}
+		}
+	}
 	for id, l := range b.loops {
-		prof.Loops[l.key] = b.lps[id]
+		lp := &b.lps[id]
+		lp.Invocations = int(l.invocations)
+		prof.Loops[l.key] = lp
 		if b.steps[id] > 0 {
 			prof.LoopSteps[l.key] = b.steps[id]
 		}
@@ -254,98 +375,173 @@ func (b *Builder) OnRet(_ *interp.Frame) {
 
 func (b *Builder) OnBlock(_ *interp.Frame, blk *ir.Block) {
 	f := &b.frames[len(b.frames)-1]
-	if t := f.tab; t != nil && (t.chains != nil || t.groups != nil) {
-		var chain []int32
-		f.groups = nil
+	if t := f.tab; t != nil {
 		p := int32(t.fn.Position(blk))
-		if p >= 0 {
-			if t.chains != nil {
-				chain = t.chains[p]
-			}
-			if t.groups != nil {
+		l := int32(-1) // the innermost loop containing blk
+		if p >= 0 && t.inner != nil {
+			t.entries[p]++
+			l = t.inner[p]
+		}
+		if t.groups != nil {
+			f.groups = nil
+			if p >= 0 {
 				f.groups = t.groups[p]
 			}
 		}
-		// The frame's active invocations are an outermost-first prefix of
-		// the previous block's chain; the ones that still contain blk are
-		// exactly its common prefix with blk's chain.
-		base := len(b.active) - f.pushed
-		keep := 0
-		for keep < f.pushed && keep < len(chain) && b.active[base+keep].loop == chain[keep] {
-			keep++
+		// The frame's active invocations are the chain of the loop the
+		// previous block lay in, innermost last. Of those, the ones that
+		// still contain blk are the common prefix with l's chain.
+		cur := int32(-1)
+		if f.pushed > 0 {
+			cur = b.active[len(b.active)-1].loop
 		}
-		for ; f.pushed > keep; f.pushed-- {
-			b.close()
-		}
-		for _, l := range chain[keep:] {
-			b.open(l)
-			f.pushed++
-		}
-		// A header entry starts an invocation's next iteration; any other
-		// block of the loop shows its body executed.
-		for i := base; i < len(b.active); i++ {
-			inv := &b.active[i]
-			lp := b.lps[inv.loop]
-			if b.loops[inv.loop].header == p {
-				inv.iter++
-				lp.Iterations++
-				if b.loops[inv.loop].single {
-					lp.BodyExecuted = true
-				}
-			} else {
-				lp.BodyExecuted = true
+		if cur != l {
+			var chain []int32
+			if l >= 0 {
+				chain = b.loops[l].chain
+			}
+			base := len(b.active) - f.pushed
+			keep := 0
+			for keep < f.pushed && keep < len(chain) && b.active[base+keep].loop == chain[keep] {
+				keep++
+			}
+			for ; f.pushed > keep; f.pushed-- {
+				b.close()
+			}
+			for _, id := range chain[keep:] {
+				b.open(id)
+				f.pushed++
 			}
 		}
+		// A header entry starts the next iteration of its loop's invocation,
+		// now the innermost.
+		if l >= 0 && b.loops[l].header == p {
+			b.active[len(b.active)-1].iter++
+		}
 	}
-	b.clock += int64(len(blk.Instrs)) + 1
+	if b.profile {
+		b.clock += int64(len(blk.Instrs)) + 1
+	}
 }
 
 func (b *Builder) OnLoad(_ *interp.Frame, in *ir.Load, obj *ir.Object, idx int) {
-	if len(b.active) == 0 {
+	if len(b.active) == 0 || !b.profile && b.tracked == 0 {
 		return
 	}
 	g := b.group(in)
 	k := cellKey(obj, idx)
 	for d := range b.active {
-		iter := b.active[d].iter
-		c := b.tabs[d].slot(k)
-		if c.cur != iter {
-			c.cur = iter
-			c.flags &^= writtenInCur
+		inv := &b.active[d]
+		if !b.profile && !inv.tracked {
+			continue
 		}
-		if c.flags&writtenInCur == 0 {
+		c := b.tabs[d].slot(k)
+		if inv.tracked {
+			b.read(inv, c)
+		}
+		if !b.profile {
+			continue
+		}
+		iter := inv.iter
+		if c.lastW != iter {
+			// Read before any write of this iteration.
 			c.flags |= readFirst
-			if c.lastW > 0 && c.lastW != iter {
+			if c.lastW > 0 {
 				c.flags |= raw
 			}
 		}
-		c.lastR = iter
+		if c.firstR == 0 {
+			c.firstR = iter
+		}
 		c.joinGroup(g)
 	}
 }
 
-func (b *Builder) OnStore(_ *interp.Frame, in *ir.Store, obj *ir.Object, idx int) {
-	if len(b.active) == 0 {
+// OnStore reads the stored value from the frame: the event fires before the
+// write, and a store's source is a constant or one of fr's locals (see
+// interp.Tracer).
+func (b *Builder) OnStore(fr *interp.Frame, in *ir.Store, obj *ir.Object, idx int) {
+	if len(b.active) == 0 || !b.profile && b.tracked == 0 {
 		return
+	}
+	silent := false
+	if b.tracked > 0 {
+		v := in.Src.Const
+		if in.Src.Local != nil {
+			v = fr.Locals[in.Src.Local.Index]
+		}
+		silent = v.Equal(obj.Elems[idx])
 	}
 	g := b.group(in)
 	k := cellKey(obj, idx)
 	for d := range b.active {
-		iter := b.active[d].iter
-		c := b.tabs[d].slot(k)
-		if c.cur != iter {
-			c.cur = iter
-			c.flags &^= writtenInCur
+		inv := &b.active[d]
+		if !b.profile && !inv.tracked {
+			continue
 		}
-		if c.lastR > 0 && c.lastR != iter {
+		c := b.tabs[d].slot(k)
+		if inv.tracked {
+			if silent {
+				b.read(inv, c)
+			} else {
+				b.write(inv, c)
+			}
+		}
+		if !b.profile {
+			continue
+		}
+		// An earlier iteration read the cell exactly when its first reader
+		// is not this one: iterations only grow within an invocation.
+		iter := inv.iter
+		if c.firstR > 0 && c.firstR != iter {
 			c.flags |= war
 		}
 		if c.lastW > 0 && c.lastW != iter {
 			c.flags |= waw
 		}
 		c.lastW = iter
-		c.flags |= writtenInCur
 		c.joinGroup(g)
+	}
+}
+
+// read records a read of c by the current iteration of a tracked
+// invocation.
+func (b *Builder) read(inv *invocation, c *cell) {
+	it := int32(inv.iter)
+	switch {
+	case c.writer != 0 && c.writer != it:
+		b.markConflict(inv.loop)
+	case c.reader == 0:
+		c.reader = it
+	case c.reader != it:
+		c.reader = -1
+	}
+}
+
+// write records a (non-silent) write of c by the current iteration of a
+// tracked invocation.
+func (b *Builder) write(inv *invocation, c *cell) {
+	it := int32(inv.iter)
+	if c.writer != 0 && c.writer != it || c.reader != 0 && c.reader != it {
+		b.markConflict(inv.loop)
+		return
+	}
+	c.writer = it
+}
+
+// markConflict stops recording loop l's footprint at its first conflict.
+func (b *Builder) markConflict(l int32) {
+	b.loops[l].conflict = true
+	b.untrack(l)
+}
+
+// untrack stops loop l's active invocations from recording its footprint.
+func (b *Builder) untrack(l int32) {
+	for i := range b.active {
+		if inv := &b.active[i]; inv.loop == l && inv.tracked {
+			inv.tracked = false
+			b.tracked--
+		}
 	}
 }
 
@@ -360,20 +556,33 @@ func (b *Builder) group(in ir.Instr) int32 {
 	return noGroup
 }
 
-// open starts an invocation of loop l on top of the active stack.
+// open starts an invocation of loop l on top of the active stack. Opening
+// a loop while an invocation of it is active is a re-entry.
 func (b *Builder) open(l int32) {
-	b.lps[l].Invocations++
-	for i := range b.active {
-		a := b.active[i].loop
-		row := b.contains[a]
-		if row == nil {
-			row = make([]uint64, (len(b.loops)+63)/64)
-			b.contains[a] = row
+	li := &b.loops[l]
+	li.invocations++
+	if li.active > 0 && !li.reentered {
+		li.reentered = true
+		b.untrack(l)
+	}
+	li.active++
+	inv := invocation{loop: l, tracked: li.tracked(), start: b.clock}
+	if inv.tracked {
+		b.tracked++
+	}
+	if b.profile {
+		for i := range b.active {
+			a := b.active[i].loop
+			row := b.contains[a]
+			if row == nil {
+				row = make([]uint64, (len(b.loops)+63)/64)
+				b.contains[a] = row
+			}
+			row[l>>6] |= 1 << (l & 63)
 		}
-		row[l>>6] |= 1 << (l & 63)
 	}
 	d := len(b.active)
-	b.active = append(b.active, invocation{loop: l, start: b.clock})
+	b.active = append(b.active, inv)
 	if d == len(b.tabs) {
 		b.tabs = append(b.tabs, cellTable{})
 	}
@@ -386,8 +595,15 @@ func (b *Builder) close() {
 	d := len(b.active) - 1
 	inv := b.active[d]
 	b.active = b.active[:d]
+	b.loops[inv.loop].active--
+	if inv.tracked {
+		b.tracked--
+	}
+	if !b.profile {
+		return
+	}
 	b.steps[inv.loop] += b.clock - inv.start
-	lp := b.lps[inv.loop]
+	lp := &b.lps[inv.loop]
 	t := &b.tabs[d]
 	for _, s := range t.touched {
 		c := &t.cells[s]
@@ -408,10 +624,9 @@ func (b *Builder) close() {
 	}
 }
 
-// Per-cell flags.
+// Per-cell profile flags.
 const (
-	writtenInCur uint8 = 1 << iota // written in iteration cur
-	readFirst                      // read before written in some iteration
+	readFirst uint8 = 1 << iota // read before written in some iteration
 	raw
 	war
 	waw
@@ -424,14 +639,18 @@ const (
 )
 
 // cell is one heap address's access history within one invocation.
+// Iterations are numbered from 1. The profile's fields count every store
+// as a write; the evidence's reader and writer count a silent store as a
+// read, and only while the invocation is tracked.
 type cell struct {
-	key   uint64
-	epoch uint32
-	group int32 // noGroup until accessed, mixedGroup, or a group id
-	cur   int64 // iteration of the last access
-	lastW int64 // iteration of the last write; 0 = none
-	lastR int64 // iteration of the last read; 0 = none
-	flags uint8
+	key    uint64
+	lastW  int64 // iteration of the last write; 0 = none
+	firstR int64 // iteration of the first read; 0 = none
+	epoch  uint32
+	group  int32 // noGroup until accessed, mixedGroup, or a group id
+	reader int32 // 0 none, -1 several iterations, else the one reading iteration
+	writer int32 // 0 none, else the one writing iteration
+	flags  uint8
 }
 
 func (c *cell) joinGroup(g int32) {
@@ -446,9 +665,11 @@ func (c *cell) joinGroup(g int32) {
 }
 
 // cellTable is an open-addressed hash table of one invocation's cells:
-// power-of-two sized, linear probing, keyed like interp's loop recorder
-// (object ID << 32 | index, mixed by a bijection, so distinct cells never
-// alias). A slot stamped with an older epoch is empty, so reset is O(1);
+// power-of-two sized, linear probing. Cells are keyed by (object ID,
+// element index): object IDs are minted sequentially per run and element
+// indices are bounded by the 64M array cap, so id<<32|idx is injective and
+// the multiply/xor-shift mix below is a bijection, so distinct cells never
+// alias. A slot stamped with an older epoch is empty, so reset is O(1);
 // touched lists the current epoch's slots.
 type cellTable struct {
 	cells   []cell

@@ -118,7 +118,7 @@ func Analyze(ctx context.Context, prog *ir.Program, opt Options) (*core.Report, 
 	// must preserve, and its per-loop evidence decides loops outright. A
 	// trap here is fatal for the whole analysis — including the trap a
 	// cancelled ctx converts it into.
-	ref, err := core.RunReference(ctx, prog, opt.Core, nil)
+	ref, err := core.RunReference(ctx, prog, opt.Core, false)
 	if err != nil {
 		return nil, err
 	}

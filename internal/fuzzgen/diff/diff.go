@@ -201,13 +201,7 @@ func check(p *fuzzgen.Program, opt Options, sink obs.Sink) (res *Result) {
 		Timeout:   opt.Timeout,
 		Trace:     sink,
 	}.Normalized()
-	var prof *depprof.Builder
-	var tracer interp.Tracer
-	if opt.Baselines {
-		prof = depprof.NewBuilder(prog)
-		tracer = prof
-	}
-	ref, err := core.RunReference(nil, prog, copt, tracer)
+	ref, err := core.RunReference(nil, prog, copt, opt.Baselines)
 	if err != nil {
 		res.Trapped = true
 		res.TrapKind = trapKindOf(err)
@@ -290,7 +284,7 @@ func check(p *fuzzgen.Program, opt Options, sink obs.Sink) (res *Result) {
 
 	// Cross-check 2: the five baselines, logged as deltas only.
 	if opt.Baselines {
-		runBaselines(prog, prof.Profile(ref.Steps, false), res)
+		runBaselines(prog, ref.Profile, res)
 	}
 	return res
 }

@@ -233,7 +233,7 @@ func TestProvedRecheckMatchesWholeProgram(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: whole-program analysis: %v", seed, err)
 		}
-		ref, err := core.RunReference(nil, prog, noProve, nil)
+		ref, err := core.RunReference(nil, prog, noProve, false)
 		if err != nil {
 			t.Fatalf("seed %d: reference run: %v", seed, err)
 		}

@@ -1,10 +1,10 @@
 // Package interp is a tree-walking interpreter for the IR and the
-// execution contract both executors share: Config, Tracer, LoopRecorder,
-// StepTrip, the step and budget semantics and the error taxonomy. The
-// bytecode VM (internal/vm) runs every sandboxed execution to this
-// contract. The tree-walker is its differential oracle (the vm parity
-// tests, dca fuzz's exec-divergence leg) and still runs the parallel
-// executor (internal/parallel) and the linkedlist example.
+// execution contract both executors share: Config, Tracer, StepTrip, the
+// step and budget semantics and the error taxonomy. The bytecode VM
+// (internal/vm) runs every sandboxed execution to this contract. The
+// tree-walker is its differential oracle (the vm parity tests, dca fuzz's
+// exec-divergence leg) and still runs the parallel executor
+// (internal/parallel) and the linkedlist example.
 package interp
 
 import (
@@ -81,7 +81,10 @@ type Tracer interface {
 	OnBlock(fr *Frame, b *ir.Block)
 	// OnLoad fires for every heap read: object plus element index.
 	OnLoad(fr *Frame, in *ir.Load, obj *ir.Object, idx int)
-	// OnStore fires for every heap write.
+	// OnStore fires for every heap write, before the write: obj.Elems[idx]
+	// still holds the old value. The stored value is in.Src's: its constant,
+	// or fr.Locals[in.Src.Local.Index], since on both executors Locals holds
+	// the frame's locals (the VM's registers are the frame's locals).
 	OnStore(fr *Frame, in *ir.Store, obj *ir.Object, idx int)
 	// OnCall fires after the callee frame is created, before it runs.
 	OnCall(fr *Frame)
@@ -128,10 +131,6 @@ type Config struct {
 	MaxHeapObjects int64
 	// MaxOutput bounds the bytes written through print (0 = unlimited).
 	MaxOutput int64
-	// Loops, when non-nil, records per-loop invocation and iteration counts
-	// and iteration-disjoint heap footprints for every loop of the program
-	// at once (see LoopRecorder). Both executors feed it directly.
-	Loops *LoopRecorder
 	// Trip, when armed, calls back once at a chosen step (see StepTrip).
 	Trip StepTrip
 }
@@ -209,9 +208,6 @@ func (it *Interp) Call(fn *ir.Func, args []ir.Value, parent *Frame) (ir.Value, e
 	if it.cfg.Tracer != nil {
 		it.cfg.Tracer.OnRet(fr)
 	}
-	if it.cfg.Loops != nil {
-		it.cfg.Loops.Return(depth)
-	}
 	return ret, err
 }
 
@@ -233,16 +229,9 @@ func (it *Interp) exec(fr *Frame) (ir.Value, error) {
 			return ir.Value{}, &CancelError{Fn: fr.Fn.Name, Block: b.Name, Steps: it.steps, Cause: err}
 		}
 	}
-	var loops *FuncLoops
-	if it.cfg.Loops != nil {
-		loops = it.cfg.Loops.Func(fr.Fn)
-	}
 	for {
 		if it.cfg.Tracer != nil {
 			it.cfg.Tracer.OnBlock(fr, b)
-		}
-		if loops != nil {
-			loops.Enter(fr.Depth, loops.Position(b))
 		}
 		for _, in := range b.Instrs {
 			it.steps++
@@ -336,9 +325,6 @@ func (it *Interp) step(fr *Frame, b *ir.Block, in ir.Instr) error {
 		if it.cfg.Tracer != nil {
 			it.cfg.Tracer.OnLoad(fr, i, obj, idx)
 		}
-		if it.cfg.Loops != nil {
-			it.cfg.Loops.OnLoad(obj, idx)
-		}
 		fr.Locals[i.Dst.Index] = obj.Elems[idx]
 	case *ir.Store:
 		base := it.operand(fr, i.Base)
@@ -354,11 +340,7 @@ func (it *Interp) step(fr *Frame, b *ir.Block, in ir.Instr) error {
 		if it.cfg.Tracer != nil {
 			it.cfg.Tracer.OnStore(fr, i, obj, idx)
 		}
-		v := it.operand(fr, i.Src)
-		if it.cfg.Loops != nil && it.cfg.Loops.Active() {
-			it.cfg.Loops.OnStore(obj, idx, v.Equal(obj.Elems[idx]))
-		}
-		obj.Elems[idx] = v
+		obj.Elems[idx] = it.operand(fr, i.Src)
 	case *ir.Alloc:
 		if it.cfg.MaxHeapObjects > 0 && it.nextID >= it.cfg.MaxHeapObjects {
 			return it.budgetErr("heap-objects", it.cfg.MaxHeapObjects, fr, b)

@@ -10,9 +10,9 @@
 //
 // The VM reproduces the tree-walking interpreter's contract exactly: step
 // counts, output bytes, BudgetError/CancelError taxonomy and texts, error
-// wrapping per frame, Runtime intrinsics (via interp.Env), LoopRecorder and
-// interp.Tracer events (same points, same order), the step trip, and panic
-// behaviour. A run without a tracer pays one nil check per event site.
+// wrapping per frame, Runtime intrinsics (via interp.Env), interp.Tracer
+// events (same points, same order), the step trip, and panic behaviour. A
+// run without a tracer pays one nil check per event site.
 // internal/sandbox runs every execution on the VM; the tree-walker stays
 // as its differential oracle (the parity tests here and dca fuzz's
 // exec-divergence leg).
@@ -44,7 +44,6 @@ type Machine struct {
 	code   *progCode
 	out    io.Writer
 	rt     interp.Runtime
-	loops  *interp.LoopRecorder
 	tracer interp.Tracer
 	ctx    context.Context
 	onStep interp.StepTrip
@@ -88,7 +87,6 @@ func New(prog *ir.Program, cfg interp.Config) *Machine {
 		code:     compiled(prog),
 		out:      cfg.Out,
 		rt:       cfg.Runtime,
-		loops:    cfg.Loops,
 		tracer:   cfg.Tracer,
 		ctx:      cfg.Ctx,
 		onStep:   cfg.Trip,
@@ -193,9 +191,6 @@ func (m *Machine) call(fc *fnCode, args []ir.Value, parent *interp.Frame) (ir.Va
 	if m.tracer != nil {
 		m.tracer.OnRet(fr)
 	}
-	if m.loops != nil {
-		m.loops.Return(depth)
-	}
 	m.frames.pop()
 	m.stack.pop()
 	return ret, err
@@ -287,18 +282,9 @@ func (m *Machine) exec(fc *fnCode, fr *interp.Frame, regs []ir.Value) (ir.Value,
 	}
 	ins := fc.ins
 	consts := fc.consts
-	// Block indices of fc.blocks are positions in Fn.Blocks, which is what
-	// the loop recorder counts by.
-	var loops *interp.FuncLoops
-	if m.loops != nil {
-		loops = m.loops.Func(fc.fn)
-	}
 	pc := fc.enter(0)
 	if m.tracer != nil {
 		m.tracer.OnBlock(fr, fc.blocks[0].b)
-	}
-	if loops != nil {
-		loops.Enter(fr.Depth, 0)
 	}
 	for {
 		in := &ins[pc]
@@ -418,9 +404,6 @@ func (m *Machine) exec(fc *fnCode, fr *interp.Frame, regs []ir.Value) (ir.Value,
 			if m.tracer != nil {
 				m.tracer.OnLoad(fr, fc.in1Of(pc).(*ir.Load), obj, idx)
 			}
-			if m.loops != nil {
-				m.loops.OnLoad(obj, idx)
-			}
 			regs[in.a] = obj.Elems[idx]
 			pc++
 
@@ -443,11 +426,7 @@ func (m *Machine) exec(fc *fnCode, fr *interp.Frame, regs []ir.Value) (ir.Value,
 			if m.tracer != nil {
 				m.tracer.OnStore(fr, fc.in1Of(pc).(*ir.Store), obj, idx)
 			}
-			v := get(regs, consts, in.c)
-			if m.loops != nil && m.loops.Active() {
-				m.loops.OnStore(obj, idx, v.Equal(obj.Elems[idx]))
-			}
-			obj.Elems[idx] = v
+			obj.Elems[idx] = get(regs, consts, in.c)
 			pc++
 
 		case opAllocS:
@@ -621,9 +600,6 @@ func (m *Machine) exec(fc *fnCode, fr *interp.Frame, regs []ir.Value) (ir.Value,
 			if m.tracer != nil {
 				m.tracer.OnBlock(fr, fc.blocks[in.d].b)
 			}
-			if loops != nil {
-				loops.Enter(fr.Depth, int(in.d))
-			}
 
 		case opIf:
 			m.steps++
@@ -639,9 +615,6 @@ func (m *Machine) exec(fc *fnCode, fr *interp.Frame, regs []ir.Value) (ir.Value,
 			pc = fc.enter(bi)
 			if m.tracer != nil {
 				m.tracer.OnBlock(fr, fc.blocks[bi].b)
-			}
-			if loops != nil {
-				loops.Enter(fr.Depth, int(bi))
 			}
 
 		case opRet:
@@ -675,9 +648,6 @@ func (m *Machine) exec(fc *fnCode, fr *interp.Frame, regs []ir.Value) (ir.Value,
 			}
 			if m.tracer != nil {
 				m.tracer.OnLoad(fr, fc.in1Of(pc).(*ir.Load), obj, idx)
-			}
-			if m.loops != nil {
-				m.loops.OnLoad(obj, idx)
 			}
 			v := obj.Elems[idx]
 			regs[in.a] = v
@@ -776,9 +746,6 @@ func (m *Machine) exec(fc *fnCode, fr *interp.Frame, regs []ir.Value) (ir.Value,
 			pc = fc.enter(bi)
 			if m.tracer != nil {
 				m.tracer.OnBlock(fr, fc.blocks[bi].b)
-			}
-			if loops != nil {
-				loops.Enter(fr.Depth, int(bi))
 			}
 
 		case opErr:

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"dca/internal/cfg"
+	"dca/internal/depprof"
 	"dca/internal/fuzzgen"
 	"dca/internal/interp"
 	"dca/internal/ir"
@@ -271,12 +272,13 @@ func TestCancelParity(t *testing.T) {
 	}
 }
 
-// TestFootprintParity: both executors must feed the reference run's loop
-// recorder identically — per loop the same invocations, iterations at
-// every block, disjointness and re-entry — on a program with nested loops,
-// a callee loop run from inside another loop, a recursive function that
-// re-enters its own loop, a return from inside a loop, a silent store and a
-// zero-trip loop. The recorder's verdicts on those shapes are pinned too.
+// TestFootprintParity: both executors must feed the reference run's
+// observer (depprof.Builder, through Config.Tracer) identically — per loop
+// the same invocations, iterations at every block, disjointness and
+// re-entry — on a program with nested loops, a callee loop run from inside
+// another loop, a recursive function that re-enters its own loop, a return
+// from inside a loop, a silent store and a zero-trip loop. The observer's
+// evidence on those shapes is pinned too.
 func TestFootprintParity(t *testing.T) {
 	src, err := os.ReadFile(filepath.Join("..", "interp", "testdata", "loops", "loopshapes.mc"))
 	if err != nil {
@@ -284,13 +286,13 @@ func TestFootprintParity(t *testing.T) {
 	}
 	prog := compile(t, string(src))
 	main := prog.Func("main")
-	run := func(exec func(c interp.Config) error) *interp.LoopRecorder {
-		rec := interp.NewLoopRecorder(prog)
+	run := func(exec func(c interp.Config) error) *depprof.Builder {
+		b := depprof.NewBuilder(prog, false)
 		var out strings.Builder
-		if err := exec(interp.Config{Out: &out, Loops: rec}); err != nil {
+		if err := exec(interp.Config{Out: &out, Tracer: b}); err != nil {
 			t.Fatal(err)
 		}
-		return rec
+		return b
 	}
 	rv := run(func(c interp.Config) error { _, err := vm.New(prog, c).Call(main, nil, nil); return err })
 	ri := run(func(c interp.Config) error { _, err := interp.New(prog, c).Call(main, nil, nil); return err })
@@ -312,7 +314,7 @@ func TestFootprintParity(t *testing.T) {
 					t.Errorf("%s block %d: vm %+v, interp %+v", l.ID(), b, r1, r2)
 				}
 			}
-			loops[fmt.Sprintf("%s:%d", fn.Name, l.Header.Pos.Line)] = loopAt{fn, l.Index, rv.Func(fn).Position(l.Header)}
+			loops[fmt.Sprintf("%s:%d", fn.Name, l.Header.Pos.Line)] = loopAt{fn, l.Index, fn.Position(l.Header)}
 		}
 	}
 	want := []struct {
