@@ -79,6 +79,11 @@ type LoopInfo struct {
 	Trip int64
 	OK   bool
 	Why  string
+	// Carried is the loop's scalar classification (scalar.Classify),
+	// computed once per loop when the environment is built. The static
+	// baselines, the dependence profilers, the prover and the
+	// instrumenter all read it; the slice is shared and read-only.
+	Carried []scalar.Carried
 }
 
 // Env extends the scalar env with per-loop affine summaries for one
@@ -100,10 +105,10 @@ type envKey struct{ fn *ir.Func }
 
 // EnvOf returns fn's environment, built once per function of prog and
 // shared through prog.Memo by every consumer (the static baselines, the
-// dependence profilers' classification and the prover). The environment
-// is read-only once built. fn must be a function of prog that is no longer
-// rewritten: the instrumenter, which rewrites a clone, builds its own
-// analyses.
+// dependence profilers' classification, the prover and the instrumenter).
+// The environment is read-only once built. fn must be a function of prog
+// that is no longer rewritten: the instrumenter, which rewrites a clone,
+// maps what it needs from the original's environment onto the clone.
 func EnvOf(prog *ir.Program, fn *ir.Func) *Env {
 	return prog.Memo(envKey{fn}, func() any { return NewEnv(fn) }).(*Env)
 }
@@ -135,9 +140,9 @@ func NewEnv(fn *ir.Func) *Env {
 
 // analyzeLoop finds the primary IV and trip count.
 func (env *Env) analyzeLoop(loop *cfg.Loop) *LoopInfo {
-	info := &LoopInfo{Loop: loop, Trip: -1}
+	info := &LoopInfo{Loop: loop, Trip: -1, Carried: scalar.Classify(env.Env, loop)}
 	var ivs []scalar.Carried
-	for _, c := range scalar.Classify(env.Env, loop) {
+	for _, c := range info.Carried {
 		if c.Class == scalar.Induction {
 			ivs = append(ivs, c)
 			env.IVSteps[c.Local] = c.Step

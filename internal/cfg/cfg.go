@@ -157,6 +157,36 @@ type Loop struct {
 	Index    int // stable index within the function (header RPO order)
 }
 
+// Onto returns the loop at the same place in fn, a Func.Clone of l.Fn that
+// is not yet edited: each block maps to fn's block at its position
+// (ir.Func.BlockFor). The copy carries the header, blocks, latches, exits,
+// exit sources, depth and index. Parent and Children stay nil: the mapped
+// loop is the instrumented clone's, and no reader of it walks the forest.
+func (l *Loop) Onto(fn *ir.Func) *Loop {
+	at := func(b *ir.Block) *ir.Block { return fn.BlockFor(l.Fn, b) }
+	all := func(bs []*ir.Block) []*ir.Block {
+		out := make([]*ir.Block, len(bs))
+		for i, b := range bs {
+			out[i] = at(b)
+		}
+		return out
+	}
+	m := &Loop{
+		Fn:       fn,
+		Header:   at(l.Header),
+		Blocks:   make(map[*ir.Block]bool, len(l.Blocks)),
+		Latches:  all(l.Latches),
+		Exits:    all(l.Exits),
+		ExitSrcs: all(l.ExitSrcs),
+		Depth:    l.Depth,
+		Index:    l.Index,
+	}
+	for b := range l.Blocks {
+		m.Blocks[at(b)] = true
+	}
+	return m
+}
+
 // Contains reports whether the block belongs to the loop.
 func (l *Loop) Contains(b *ir.Block) bool { return l.Blocks[b] }
 
@@ -292,8 +322,8 @@ type forestKey struct{ fn *ir.Func }
 // Loops returns fn's loops as LoopsOf finds them, built once per function
 // of prog and shared through prog.Memo by every reader of the program; the
 // loops are read-only. fn must be a function of prog that is no longer
-// rewritten: the instrumenter, which rewrites a clone after finding its
-// loops, calls LoopsOf.
+// rewritten: the instrumenter, which rewrites a clone, maps the original's
+// loop onto it (Loop.Onto).
 func Loops(prog *ir.Program, fn *ir.Func) []*Loop {
 	return prog.Memo(forestKey{fn}, func() any {
 		_, loops := LoopsOf(fn)

@@ -705,7 +705,7 @@ func AnalyzeLoopInto(ctx context.Context, prog *ir.Program, fn *ir.Func, loop *c
 				res.SkippedFootprint = len(opt.Schedules)
 			}
 		default:
-			if inst := instrumentLoop(prog, fn, loop, &opt, res); inst != nil {
+			if inst := instrumentLoop(prog, sep, &opt, res); inst != nil {
 				dynamicStage(ctx, inst, &opt, ref.Out, res, inj, exec, proved)
 			}
 		}
@@ -758,13 +758,14 @@ func proveLoop(ctx context.Context, prog *ir.Program, fn *ir.Func, loop *cfg.Loo
 }
 
 // instrumentLoop builds the instrumented program of a loop whose golden run
-// must execute, adding the build time to res.DurStatic. A build that fails
-// marks the loop NotSeparable and returns nil. Separation already rejects
-// every other loop instrument.Loop rejects, so only a malformed outlined or
+// must execute from the loop's separation sep, so the loop is separated
+// once, and adds the build time to res.DurStatic. A build that fails marks
+// the loop NotSeparable and returns nil. Separation already rejects every
+// other loop instrument.Loop rejects, so only a malformed outlined or
 // rewritten function can fail here.
-func instrumentLoop(prog *ir.Program, fn *ir.Func, loop *cfg.Loop, opt *Options, res *LoopResult) *instrument.Instrumented {
+func instrumentLoop(prog *ir.Program, sep *instrument.Separated, opt *Options, res *LoopResult) *instrument.Instrumented {
 	start := time.Now()
-	inst, err := instrument.Loop(prog, fn.Name, loop.Index)
+	inst, err := instrument.Build(prog, sep)
 	d := time.Since(start)
 	res.DurStatic += d
 	ev := obs.Event{Stage: obs.StageInstrument, Fn: res.Fn, LoopID: res.ID, Outcome: obs.OutcomeOK,

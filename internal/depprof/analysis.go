@@ -147,7 +147,7 @@ func AnalyzeProfile(prog *ir.Program, prof *Profile, pol Policy) *Report {
 					continue
 				}
 			}
-			scalarReasons := classifyScalars(env.Env, loop, pol)
+			scalarReasons := classifyScalars(env.Info[loop].Carried, pol)
 			v.Reasons = append(v.Reasons, scalarReasons...)
 			v.Reasons = append(v.Reasons, memoryReasons(lp, pol)...)
 			v.Parallel = len(v.Reasons) == 0
@@ -190,11 +190,11 @@ func memoryReasons(lp *LoopProfile, pol Policy) []string {
 	return out
 }
 
-// classifyScalars reports the loop-carried scalar dependences that are not
-// benign under the policy.
-func classifyScalars(env *scalar.Env, loop *cfg.Loop, pol Policy) []string {
+// classifyScalars reports the loop-carried scalar dependences (the loop's
+// affine.LoopInfo.Carried) that are not benign under the policy.
+func classifyScalars(carried []scalar.Carried, pol Policy) []string {
 	var reasons []string
-	for _, c := range scalar.Classify(env, loop) {
+	for _, c := range carried {
 		ok := false
 		switch c.Class {
 		case scalar.Induction:

@@ -5,12 +5,12 @@
 //
 // Three properties make the fan-out sound:
 //
-//   - Replays never share mutable state. instrument.Loop clones the program
+//   - Replays never share mutable state. instrument.Build clones the program
 //     for each loop that reaches its golden run, the interpreter allocates a
 //     fresh heap per execution, and the shared inputs (original program,
-//     purity info, loop forests, and the function environments and
-//     points-to solution every loop's separation reads) are read-only after
-//     construction.
+//     purity info, loop forests, and the function environments, scalar
+//     classes and points-to solution every loop's separation and build
+//     read) are read-only after construction.
 //   - Determinism is recovered structurally, not by locking: loop results
 //     are preallocated in enumeration order and sorted exactly like the
 //     sequential path, and schedule outcomes are folded in schedule order

@@ -307,8 +307,8 @@ func Separated(prog *ir.Program, fnName string, loopIndex int, s *instrument.Sep
 	return Key{Hi: h.hi, Lo: h.lo}
 }
 
-// Loop is Separated for an instrumented loop: inst's separation, computed
-// on the clone, names the same locals as the program's own, so the key is
+// Loop is Separated for an instrumented loop: inst's separation, mapped
+// onto the clone, names the same locals as the program's own, so the key is
 // the one the analysis computes before it builds inst.
 func Loop(prog *ir.Program, fnName string, loopIndex int, inst *instrument.Instrumented, in Inputs) Key {
 	return Separated(prog, fnName, loopIndex, &inst.Separated, in)

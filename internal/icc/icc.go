@@ -121,7 +121,7 @@ func check(env *affine.Env, pa *pointer.Analysis, pur *purity.Info, loop *cfg.Lo
 		return dedup(reasons)
 	}
 	// Scalars: induction, reduction and min/max recurrences are handled.
-	for _, c := range scalar.Classify(env.Env, loop) {
+	for _, c := range env.Info[loop].Carried {
 		if c.Class == scalar.Fatal {
 			reasons = append(reasons, fmt.Sprintf("unresolvable loop-carried scalar %q", c.Local.Name))
 		}

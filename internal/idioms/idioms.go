@@ -73,7 +73,7 @@ func Analyze(prog *ir.Program) *Report {
 
 func check(env *affine.Env, pa *pointer.Analysis, pur *purity.Info, groups map[ir.Instr]int, loop *cfg.Loop, v *Verdict) {
 	// --- Find idiom instances. ---
-	carried := scalar.Classify(env.Env, loop)
+	carried := env.Info[loop].Carried
 	for _, c := range carried {
 		switch c.Class {
 		case scalar.Reduction:

@@ -17,9 +17,13 @@
 // resume at the correct continuation after the driver completes.
 //
 // Separate runs only the first step, iterator/payload separation, on the
-// program itself. It decides whether Loop can transform the loop and yields
+// program itself. It decides whether the loop can be transformed and yields
 // what an analysis reads before it needs the instrumented program, so an
-// analysis builds that program only for a loop it must execute.
+// analysis builds that program only for a loop it must execute. Build
+// turns a separation into the instrumented program: it maps the
+// separation, the live-out roots and the loop's scalar classes onto the
+// clone instead of analysing the clone again. Loop is Separate, then
+// Build.
 package instrument
 
 import (
@@ -27,7 +31,6 @@ import (
 
 	"dca/internal/affine"
 	"dca/internal/cfg"
-	"dca/internal/dataflow"
 	"dca/internal/ir"
 	"dca/internal/iterrec"
 	"dca/internal/outline"
@@ -46,8 +49,8 @@ const (
 )
 
 // Separated is one loop's iterator/payload separation and the live-out
-// roots rt_verify snapshots, computed on one function: the program's own
-// (Separate) or the instrumented clone's (Loop).
+// roots rt_verify snapshots: computed on the program's own function
+// (Separate), or mapped onto the instrumented clone (Build).
 type Separated struct {
 	LoopID string
 	Sep    *iterrec.Separation
@@ -55,16 +58,28 @@ type Separated struct {
 	LiveOut []*ir.Local
 }
 
+// onto maps the separation and the live-out roots onto fn, a Func.Clone of
+// the separated function that is not yet edited.
+func (s *Separated) onto(fn *ir.Func) Separated {
+	liveOut := make([]*ir.Local, len(s.LiveOut))
+	for i, l := range s.LiveOut {
+		liveOut[i] = fn.LocalFor(l)
+	}
+	return Separated{LoopID: s.LoopID, Sep: s.Sep.Onto(fn), LiveOut: liveOut}
+}
+
 // Instrumented is a program rewritten to test one loop.
 type Instrumented struct {
 	Prog *ir.Program // instrumented clone
 	Fn   *ir.Func    // function containing the rewritten loop (in Prog)
-	// Separated is the separation computed on the clone.
+	// Separated is the program's separation mapped onto the clone; its
+	// blocks have since been rewritten.
 	Separated
 	Payload *outline.Result
-	// Carried classifies the loop-carried scalars of the rewritten loop
-	// (computed before rewriting); the parallel executor uses it to choose
-	// reduction combiners for environment fields.
+	// Carried classifies the loop-carried scalars of the rewritten loop:
+	// the program's affine.LoopInfo.Carried mapped onto the clone. The
+	// parallel executor uses it to choose reduction combiners for
+	// environment fields.
 	Carried []scalar.Carried
 }
 
@@ -72,7 +87,7 @@ type Instrumented struct {
 // named function on prog itself, from the function's shared facts
 // (affine.EnvOf, pointer.Of): nothing is cloned, outlined or rewritten. It
 // rejects exactly the loops Loop rejects, with the same errors, except a
-// malformed outlined or rewritten function, which only Loop's verifier can
+// malformed outlined or rewritten function, which only Build's verifier can
 // see. The result refers to prog's own blocks and locals. Safe for
 // concurrent use.
 func Separate(prog *ir.Program, fnName string, loopIndex int) (*Separated, error) {
@@ -88,58 +103,70 @@ func Separate(prog *ir.Program, fnName string, loopIndex int) (*Separated, error
 }
 
 // Loop instruments the loopIndex-th loop (in cfg.FindLoops order) of the
-// named function. The input program is not modified.
+// named function: Separate, then Build. The input program is not modified.
 func Loop(prog *ir.Program, fnName string, loopIndex int) (*Instrumented, error) {
-	// Only fnName is rewritten; every other function is shared with the
-	// input program (and stays immutable), so cloning costs one function.
-	clone := prog.CloneShared(fnName)
-	fn := clone.Func(fnName)
-	if fn == nil {
-		return nil, noFunc(fnName)
+	s, err := Separate(prog, fnName, loopIndex)
+	if err != nil {
+		return nil, err
 	}
-	g, loops := cfg.LoopsOf(fn)
-	if loopIndex < 0 || loopIndex >= len(loops) {
-		return nil, outOfRange(fnName, len(loops), loopIndex)
+	return Build(prog, s)
+}
+
+// Build instruments the loop s separates; s is Separate's result on prog.
+// It clones the loop's function (ir.Program.CloneShared) and maps s, its
+// live-out roots and the loop's scalar classes (affine.LoopInfo.Carried)
+// onto the clone by block position, local index and instruction position.
+// Func.Clone keeps all three, and the clone is not edited before outlining,
+// so the mapped facts are the ones a fresh analysis of the clone would
+// compute; nothing is re-analysed. Build then outlines the payload,
+// rewrites the loop and verifies the result. The input program is not
+// modified. Safe for concurrent use.
+func Build(prog *ir.Program, s *Separated) (*Instrumented, error) {
+	fn := s.Sep.Fn
+	var info *affine.LoopInfo
+	if prog.Func(fn.Name) == fn {
+		info = affine.EnvOf(prog, fn).Info[s.Sep.Loop]
 	}
-	loop := loops[loopIndex]
+	if info == nil {
+		return nil, fmt.Errorf("instrument: %s was not separated on this program", s.LoopID)
+	}
+	// Only fn is rewritten; every other function is shared with the input
+	// program (and stays immutable), so cloning costs one function.
+	clone := prog.CloneShared(fn.Name)
+	cfn := clone.Func(fn.Name)
 	preFuncs := len(clone.Funcs)
-	env := &scalar.Env{G: g, PD: cfg.ComputePostDom(g), LV: dataflow.ComputeLiveness(g)}
-	// The clone is structurally identical to prog at this point (fn is not
-	// rewritten yet), so the interprocedural points-to solve runs once per
-	// program and is rebound per loop: an overlay remaps fn's keys and
-	// shares everything else with the program's solution.
-	pa := pointer.Of(prog).Rebind(clone, fnName)
-	if pa == nil {
-		pa = pointer.Analyze(clone)
-	}
-	s, err := separate(env, loop, pa)
-	if err != nil {
-		return nil, err
-	}
-	pay, err := outline.Outline(s.Sep)
-	if err != nil {
-		return nil, err
-	}
 	inst := &Instrumented{
 		Prog:      clone,
-		Fn:        fn,
-		Separated: *s,
-		Payload:   pay,
-		Carried:   scalar.Classify(env, loop),
+		Fn:        cfn,
+		Separated: s.onto(cfn),
+		Carried:   make([]scalar.Carried, len(info.Carried)),
 	}
+	for i, c := range info.Carried {
+		inst.Carried[i] = c.Onto(cfn)
+	}
+	pay, err := outline.Outline(inst.Sep)
+	if err != nil {
+		return nil, err
+	}
+	inst.Payload = pay
 	rewrite(inst)
-	// Only the rewritten function and the functions minted by outlining can
-	// be malformed here — the rest of the clone is a copy of an
-	// already-verified program, so re-verifying it per loop is pure waste.
-	if err := fn.Verify(); err != nil {
-		return nil, fmt.Errorf("instrument: rewritten program is malformed: %w", err)
-	}
-	for _, nf := range clone.Funcs[preFuncs:] {
-		if err := nf.Verify(); err != nil {
-			return nil, fmt.Errorf("instrument: rewritten program is malformed: %w", err)
-		}
+	if err := verify(inst, preFuncs); err != nil {
+		return nil, err
 	}
 	return inst, nil
+}
+
+// verify checks the functions rewriting can have made malformed: the
+// rewritten function and those outlining added after the first preFuncs.
+// The rest of the clone is a copy of an already-verified program, so
+// re-verifying it per loop is pure waste.
+func verify(inst *Instrumented, preFuncs int) error {
+	for _, fn := range append([]*ir.Func{inst.Fn}, inst.Prog.Funcs[preFuncs:]...) {
+		if err := fn.Verify(); err != nil {
+			return fmt.Errorf("instrument: rewritten program is malformed: %w", err)
+		}
+	}
+	return nil
 }
 
 func noFunc(fnName string) error { return fmt.Errorf("instrument: no function %q", fnName) }

@@ -160,6 +160,15 @@ func TestErrors(t *testing.T) {
 	if _, err := instrument.Loop(prog, "main", 99); err == nil {
 		t.Error("out-of-range loop index must fail")
 	}
+	// Build maps a separation by position, so one made on another
+	// program, even another compilation of the same source, is refused.
+	s, err := instrument.Separate(compile(t, sumSrc), "main", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := instrument.Build(prog, s); err == nil || !strings.Contains(err.Error(), "not separated on this program") {
+		t.Errorf("Build with another program's separation = %v, want a refusal", err)
+	}
 }
 
 func TestSnapshotDiffersUnderPermutation(t *testing.T) {

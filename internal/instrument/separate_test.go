@@ -122,9 +122,12 @@ func describe(s *instrument.Separated) string {
 }
 
 // TestSeparateMatchesInstrumentedClone: for every loop of the corpus that
-// does no I/O, separating it on the program itself fails exactly when
-// instrumenting it fails, with the same message, and otherwise agrees with
-// the separation computed on the instrumented clone.
+// does no I/O, Loop, which maps the program's own separation onto the
+// clone, and the oracle (Rederive), which analyses and separates the clone
+// afresh, either fail with the same message or build byte-identical
+// programs with identical separations, live-out roots and scalar classes.
+// Both clones share every function but the rewritten one with prog, so
+// progText compares their Prog.String() without rendering those.
 func TestSeparateMatchesInstrumentedClone(t *testing.T) {
 	for _, p := range separationCorpus(t) {
 		t.Run(p.name, func(t *testing.T) {
@@ -140,20 +143,112 @@ func TestSeparateMatchesInstrumentedClone(t *testing.T) {
 					if pur.LoopDoesIO(loop.Blocks) {
 						continue
 					}
-					s, serr := instrument.Separate(prog, fn.Name, loop.Index)
-					inst, lerr := instrument.Loop(prog, fn.Name, loop.Index)
-					switch {
-					case serr != nil || lerr != nil:
-						if fmt.Sprint(serr) != fmt.Sprint(lerr) {
-							t.Errorf("%s: Separate error %v, Loop error %v", loop.ID(), serr, lerr)
+					got, gerr := instrument.Loop(prog, fn.Name, loop.Index)
+					want, werr := instrument.Rederive(prog, fn.Name, loop.Index)
+					if gerr != nil || werr != nil {
+						if fmt.Sprint(gerr) != fmt.Sprint(werr) {
+							t.Errorf("%s: Loop error %v, oracle error %v", loop.ID(), gerr, werr)
 						}
-					case describe(s) != describe(&inst.Separated):
-						t.Errorf("%s: separation on the program\n\t%s\non the clone\n\t%s", loop.ID(), describe(s), describe(&inst.Separated))
+						continue
+					}
+					if g, w := progText(prog, got), progText(prog, want); g != w {
+						t.Errorf("%s: instrumented program\n%s\noracle's\n%s", loop.ID(), g, w)
+					}
+					if g, w := renderInstrumented(got), renderInstrumented(want); g != w {
+						t.Errorf("%s: built from the program's separation\n%s\nre-derived on the clone\n%s", loop.ID(), g, w)
 					}
 				}
 			}
 		})
 	}
+}
+
+// renderInstrumented renders everything of inst but its program text:
+// every field of the separation, the live-out roots and the scalar
+// classes. Blocks and locals render by index and name (or as foreign when
+// they are not the rewritten function's), and iterator instructions by
+// their first position in the rewritten function, so two builds of one
+// loop render alike exactly when they agree.
+func renderInstrumented(inst *instrument.Instrumented) string {
+	fn := inst.Fn
+	at := map[ir.Instr]string{}
+	for _, b := range fn.Blocks {
+		for i, in := range b.Instrs {
+			if _, ok := at[in]; !ok {
+				at[in] = fmt.Sprintf("%d/%d", b.Index, i)
+			}
+		}
+	}
+	block := func(b *ir.Block) string {
+		switch {
+		case b == nil:
+			return "nil"
+		case fn.Position(b) < 0:
+			return "foreign:" + b.Name
+		}
+		return fmt.Sprintf("%d:%s", b.Index, b.Name)
+	}
+	blocks := func(bs []*ir.Block) string {
+		out := make([]string, len(bs))
+		for i, b := range bs {
+			out[i] = block(b)
+		}
+		return strings.Join(out, " ")
+	}
+	blockSet := func(m map[*ir.Block]bool) string {
+		var bs []*ir.Block
+		for b := range m {
+			bs = append(bs, b)
+		}
+		sort.Slice(bs, func(i, j int) bool { return bs[i].Index < bs[j].Index })
+		return blocks(bs)
+	}
+	local := func(l *ir.Local) string {
+		if l.Index >= len(fn.Locals) || fn.Locals[l.Index] != l {
+			return "foreign:" + l.Name
+		}
+		return fmt.Sprintf("%d:%s", l.Index, l.Name)
+	}
+	locals := func(ls []*ir.Local) string {
+		out := make([]string, len(ls))
+		for i, l := range ls {
+			out[i] = local(l)
+		}
+		return strings.Join(out, " ")
+	}
+	s, loop := inst.Sep, inst.Sep.Loop
+	var b strings.Builder
+	fmt.Fprintf(&b, "id %s fn-is-inst %v loop-fn-is-inst %v ok %v reason %q\n",
+		inst.LoopID, s.Fn == fn, loop.Fn == fn, s.OK, s.Reason)
+	fmt.Fprintf(&b, "loop %d depth %d header %s blocks [%s] latches [%s] exits [%s] exit-srcs [%s]\n",
+		loop.Index, loop.Depth, block(loop.Header), blockSet(loop.Blocks),
+		blocks(loop.Latches), blocks(loop.Exits), blocks(loop.ExitSrcs))
+	var iter []string
+	for in := range s.IterInstrs {
+		pos, ok := at[in]
+		if !ok {
+			pos = "missing " + in.String()
+		}
+		iter = append(iter, pos)
+	}
+	sort.Strings(iter)
+	fmt.Fprintf(&b, "iter-instrs [%s]\n", strings.Join(iter, " "))
+	var runs []string
+	for blk, r := range s.Runs {
+		runs = append(runs, fmt.Sprintf("%s=%d..%d", block(blk), r.Lo, r.Hi))
+	}
+	sort.Strings(runs)
+	fmt.Fprintf(&b, "runs [%s] payload-side [%s]\n", strings.Join(runs, " "), blockSet(s.PayloadSide))
+	fmt.Fprintf(&b, "B0 %s P0 %d cont %s:%d\n", block(s.B0), s.P0, block(s.Cont.Block), s.Cont.Index)
+	fmt.Fprintf(&b, "iter [%s] env [%s] internal [%s] defs [%s] live-out [%s]\n",
+		locals(s.IterLocals), locals(s.EnvLocals), locals(s.Internal.Sorted()),
+		locals(s.PayloadDefSet.Sorted()), locals(inst.LiveOut))
+	fmt.Fprintf(&b, "counts %d %d %d %d\n",
+		s.PayloadInstrCount, s.PayloadStores, s.PayloadCallStores, s.PayloadAllocs)
+	for _, c := range inst.Carried {
+		fmt.Fprintf(&b, "carried %s %s step %d op %v\n", local(c.Local), c.Class, c.Step, c.Op)
+	}
+	return b.String()
 }
 
 // midBlockSrc's first loop advances its iterator at the top of the body,
@@ -205,11 +300,62 @@ func TestSeparateMidBlockEntry(t *testing.T) {
 // shared facts, and must agree with a sequential pass over another
 // compilation. Run under -race.
 func TestSeparateConcurrent(t *testing.T) {
+	checkConcurrent(t, func(prog *ir.Program, fn string, index int) string {
+		s, err := instrument.Separate(prog, fn, index)
+		if err != nil {
+			return err.Error()
+		}
+		return describe(s)
+	})
+}
+
+// TestBuildConcurrent: engine workers also build instrumented programs
+// concurrently from one program's shared facts: its separations, its
+// environments' Info maps and their Carried slices. Eight goroutines each
+// instrument every loop of one NPB proxy and one PLDS program and must
+// build what a sequential pass over another compilation builds: the same
+// program text (progText) and the same separation, live-out roots and
+// scalar classes. Run under -race.
+func TestBuildConcurrent(t *testing.T) {
+	checkConcurrent(t, func(prog *ir.Program, fn string, index int) string {
+		inst, err := instrument.Loop(prog, fn, index)
+		if err != nil {
+			return err.Error()
+		}
+		return progText(prog, inst) + renderInstrumented(inst)
+	})
+}
+
+// progText is inst.Prog.String() with each function the clone shares with
+// prog, the program it was built from, written as its name, so comparisons
+// render only what the build made (BT's full text is 80 KB a loop, slow
+// under -race). Two builds from prog have equal progText exactly when
+// their Prog.String() is equal.
+func progText(prog *ir.Program, inst *instrument.Instrumented) string {
+	var b strings.Builder
+	for i, f := range inst.Prog.Funcs {
+		if i > 0 {
+			b.WriteByte('\n')
+		}
+		if prog.Func(f.Name) == f {
+			b.WriteString("shared " + f.Name + "\n")
+		} else {
+			b.WriteString(f.String())
+		}
+	}
+	return b.String()
+}
+
+// checkConcurrent runs each over every loop of NPB BT and PLDS mst from
+// eight goroutines sharing one compilation, each starting at a different
+// loop, and requires each result to match a sequential pass over another
+// compilation.
+func checkConcurrent(t *testing.T, each func(prog *ir.Program, fn string, index int) string) {
 	for _, p := range []corpusProg{
 		{"npb/BT", npb.SpecByName("BT").Compile},
 		{"plds/mst", plds.ByName("mst").Compile},
 	} {
-		want := separateAll(t, p, nil, 0)
+		want := overLoops(t, p, nil, 0, each)
 		if len(want) == 0 {
 			t.Fatalf("%s: no loops", p.name)
 		}
@@ -217,13 +363,20 @@ func TestSeparateConcurrent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		seq, err := p.compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if prog.String() != seq.String() {
+			t.Fatalf("%s: two compilations differ", p.name)
+		}
 		const workers = 8
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				got := separateAll(t, p, prog, w*len(want)/workers)
+				got := overLoops(t, p, prog, w*len(want)/workers, each)
 				for i := range want {
 					if got[i] != want[i] {
 						t.Errorf("%s: worker %d\n\t%s\nsequential\n\t%s", p.name, w, got[i], want[i])
@@ -235,14 +388,15 @@ func TestSeparateConcurrent(t *testing.T) {
 	}
 }
 
-// separateAll separates every loop of prog (a fresh compilation of p when
-// prog is nil), starting at the first-th loop and wrapping around. It
-// returns one description or error per loop, in program order.
-func separateAll(t *testing.T, p corpusProg, prog *ir.Program, first int) []string {
+// overLoops applies each to every loop of prog (a fresh compilation of p
+// when prog is nil), starting at the first-th loop and wrapping around. It
+// returns the results in program order.
+func overLoops(t *testing.T, p corpusProg, prog *ir.Program, first int, each func(prog *ir.Program, fn string, index int) string) []string {
 	if prog == nil {
 		var err error
 		if prog, err = p.compile(); err != nil {
-			t.Fatal(err)
+			t.Error(err)
+			return nil
 		}
 	}
 	type loopRef struct {
@@ -259,12 +413,7 @@ func separateAll(t *testing.T, p corpusProg, prog *ir.Program, first int) []stri
 	out := make([]string, len(loops))
 	for k := range loops {
 		i := (first + k) % len(loops)
-		s, err := instrument.Separate(prog, loops[i].fn, loops[i].index)
-		if err != nil {
-			out[i] = err.Error()
-		} else {
-			out[i] = describe(s)
-		}
+		out[i] = each(prog, loops[i].fn, loops[i].index)
 	}
 	return out
 }

@@ -64,6 +64,14 @@ func (f *Func) Clone() *Func {
 	return g
 }
 
+// BlockFor returns f's block at b's position in src. When f is src.Clone()
+// and neither was edited since, that block is b's copy.
+func (f *Func) BlockFor(src *Func, b *Block) *Block { return f.Blocks[src.Position(b)] }
+
+// LocalFor returns f's local at l's index. When f is a Func.Clone of l's
+// function, that local is l's copy: locals are only ever appended.
+func (f *Func) LocalFor(l *Local) *Local { return f.Locals[l.Index] }
+
 func cloneInstr(in Instr, op func(Operand) Operand, ops func([]Operand) []Operand, loc func(*Local) *Local) Instr {
 	switch i := in.(type) {
 	case *BinOp:

@@ -78,6 +78,75 @@ type Separation struct {
 	PayloadAllocs     int
 }
 
+// Onto returns the separation at the same place in fn, a Func.Clone of
+// s.Fn that is not yet edited. Func.Clone keeps block order, local indices
+// and instruction order, so blocks map by position, locals by index and
+// iterator instructions by their position in their block. Every field is
+// mapped: the copy is what Separate computes on fn, without recomputing
+// any analysis. The loop maps through cfg.Loop.Onto.
+func (s *Separation) Onto(fn *ir.Func) *Separation {
+	block := func(b *ir.Block) *ir.Block {
+		if b == nil {
+			return nil
+		}
+		return fn.BlockFor(s.Fn, b)
+	}
+	locals := func(ls []*ir.Local) []*ir.Local {
+		if ls == nil {
+			return nil
+		}
+		out := make([]*ir.Local, len(ls))
+		for i, l := range ls {
+			out[i] = fn.LocalFor(l)
+		}
+		return out
+	}
+	set := func(ls dataflow.LocalSet) dataflow.LocalSet {
+		if ls == nil {
+			return nil
+		}
+		out := make(dataflow.LocalSet, len(ls))
+		for l := range ls {
+			out[fn.LocalFor(l)] = true
+		}
+		return out
+	}
+	m := &Separation{
+		Fn:                fn,
+		Loop:              s.Loop.Onto(fn),
+		OK:                s.OK,
+		Reason:            s.Reason,
+		IterInstrs:        make(map[ir.Instr]bool, len(s.IterInstrs)),
+		Runs:              make(map[*ir.Block]Run, len(s.Runs)),
+		PayloadSide:       make(map[*ir.Block]bool, len(s.PayloadSide)),
+		B0:                block(s.B0),
+		P0:                s.P0,
+		Cont:              ContPoint{Block: block(s.Cont.Block), Index: s.Cont.Index},
+		IterLocals:        locals(s.IterLocals),
+		EnvLocals:         locals(s.EnvLocals),
+		Internal:          set(s.Internal),
+		PayloadDefSet:     set(s.PayloadDefSet),
+		PayloadInstrCount: s.PayloadInstrCount,
+		PayloadStores:     s.PayloadStores,
+		PayloadCallStores: s.PayloadCallStores,
+		PayloadAllocs:     s.PayloadAllocs,
+	}
+	for b := range s.Loop.Blocks {
+		for i, in := range b.Instrs {
+			if s.IterInstrs[in] {
+				m.IterInstrs[block(b).Instrs[i]] = true
+			}
+		}
+	}
+	for b, r := range s.Runs {
+		m.Runs[block(b)] = r
+	}
+	for b := range s.PayloadSide {
+		m.PayloadSide[block(b)] = true
+	}
+	return m
+}
+
 func fail(sep *Separation, format string, args ...any) *Separation {
 	sep.OK = false
 	sep.Reason = fmt.Sprintf(format, args...)

@@ -2,6 +2,8 @@
 package lexer
 
 import (
+	"unicode/utf8"
+
 	"dca/internal/source"
 	"dca/internal/token"
 )
@@ -17,18 +19,6 @@ type Lexer struct {
 // New creates a Lexer over the given file, reporting errors into diags.
 func New(file *source.File, diags *source.DiagList) *Lexer {
 	return &Lexer{file: file, src: file.Text, diags: diags}
-}
-
-// Scan returns every token in the file, ending with EOF.
-func (l *Lexer) Scan() []token.Token {
-	var toks []token.Token
-	for {
-		t := l.Next()
-		toks = append(toks, t)
-		if t.Kind == token.EOF {
-			return toks
-		}
-	}
 }
 
 func (l *Lexer) errorf(off int, format string, args ...any) {
@@ -215,9 +205,13 @@ func (l *Lexer) Next() token.Token {
 	case ':':
 		return one(token.COLON)
 	}
-	l.pos++
-	l.errorf(start, "illegal character %q", string(c))
-	return token.Token{Kind: token.ILLEGAL, Text: string(c), Pos: pos}
+	// One illegal character, however many bytes it spans; a byte that is
+	// not valid UTF-8 is one character of its own.
+	_, w := utf8.DecodeRuneInString(l.src[l.pos:])
+	l.pos += w
+	text := l.src[start:l.pos]
+	l.errorf(start, "illegal character %q", text)
+	return token.Token{Kind: token.ILLEGAL, Text: text, Pos: pos}
 }
 
 func (l *Lexer) scanNumber(start int, pos source.Pos) token.Token {

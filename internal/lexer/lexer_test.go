@@ -1,6 +1,7 @@
 package lexer_test
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -9,10 +10,22 @@ import (
 	"dca/internal/token"
 )
 
+// scanAll returns every token l yields, ending with the first EOF.
+func scanAll(l *lexer.Lexer) []token.Token {
+	var toks []token.Token
+	for {
+		t := l.Next()
+		toks = append(toks, t)
+		if t.Kind == token.EOF {
+			return toks
+		}
+	}
+}
+
 func scan(t *testing.T, src string) ([]token.Token, *source.DiagList) {
 	t.Helper()
 	diags := &source.DiagList{}
-	toks := lexer.New(source.NewFile("t.mc", src), diags).Scan()
+	toks := scanAll(lexer.New(source.NewFile("t.mc", src), diags))
 	return toks, diags
 }
 
@@ -141,6 +154,43 @@ func TestErrors(t *testing.T) {
 	}
 }
 
+// TestIllegalCharacters: a character the language does not use is one
+// ILLEGAL token and one diagnostic however many bytes it spans, and a byte
+// that is not valid UTF-8 is reported escaped.
+func TestIllegalCharacters(t *testing.T) {
+	cases := []struct {
+		src   string
+		kinds []token.Kind
+		diags []string // message at column
+	}{
+		{"@", []token.Kind{token.ILLEGAL, token.EOF}, []string{`illegal character "@" at 1`}},
+		{"é", []token.Kind{token.ILLEGAL, token.EOF}, []string{`illegal character "é" at 1`}},
+		{"var é int", []token.Kind{token.KwVar, token.ILLEGAL, token.KwInt, token.EOF},
+			[]string{`illegal character "é" at 5`}},
+		{"a€b", []token.Kind{token.IDENT, token.ILLEGAL, token.IDENT, token.EOF},
+			[]string{`illegal character "€" at 2`}},
+		{"x😀;", []token.Kind{token.IDENT, token.ILLEGAL, token.SEMICOLON, token.EOF},
+			[]string{`illegal character "😀" at 2`}},
+		{"\xff", []token.Kind{token.ILLEGAL, token.EOF}, []string{`illegal character "\xff" at 1`}},
+		// A truncated sequence is two invalid bytes.
+		{"\xe2\x82", []token.Kind{token.ILLEGAL, token.ILLEGAL, token.EOF},
+			[]string{`illegal character "\xe2" at 1`, `illegal character "\x82" at 2`}},
+	}
+	for _, c := range cases {
+		toks, diags := scan(t, c.src)
+		if got := kinds(toks); fmt.Sprint(got) != fmt.Sprint(c.kinds) {
+			t.Errorf("%q: tokens %v, want %v", c.src, got, c.kinds)
+		}
+		var got []string
+		for _, d := range diags.Diags {
+			got = append(got, fmt.Sprintf("%s at %d", d.Msg, d.Pos.Col))
+		}
+		if fmt.Sprint(got) != fmt.Sprint(c.diags) {
+			t.Errorf("%q: diagnostics %q, want %q", c.src, got, c.diags)
+		}
+	}
+}
+
 // TestScanTerminates (property): the lexer always terminates and ends with
 // EOF, for arbitrary input bytes.
 func TestScanTerminates(t *testing.T) {
@@ -149,7 +199,7 @@ func TestScanTerminates(t *testing.T) {
 			src = src[:4096]
 		}
 		diags := &source.DiagList{}
-		toks := lexer.New(source.NewFile("q.mc", src), diags).Scan()
+		toks := scanAll(lexer.New(source.NewFile("q.mc", src), diags))
 		return len(toks) >= 1 && toks[len(toks)-1].Kind == token.EOF
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -164,7 +214,7 @@ func TestOffsetsMonotonic(t *testing.T) {
 			src = src[:2048]
 		}
 		diags := &source.DiagList{}
-		toks := lexer.New(source.NewFile("q.mc", src), diags).Scan()
+		toks := scanAll(lexer.New(source.NewFile("q.mc", src), diags))
 		last := -1
 		for _, tk := range toks[:len(toks)-1] {
 			if tk.Pos.Offset < last {

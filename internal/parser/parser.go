@@ -15,8 +15,9 @@ import (
 func Parse(name, text string) (*ast.Program, error) {
 	file := source.NewFile(name, text)
 	diags := &source.DiagList{}
-	toks := lexer.New(file, diags).Scan()
-	p := &parser{file: file, toks: toks, diags: diags}
+	p := &parser{file: file, lex: lexer.New(file, diags), diags: diags}
+	p.tok = p.lex.Next()
+	p.ahead = p.lex.Next()
 	prog := p.parseProgram()
 	diags.Sort()
 	return prog, diags.Err()
@@ -32,19 +33,29 @@ func MustParse(name, text string) *ast.Program {
 	return prog
 }
 
+// parser pulls tokens from the lexer as it goes: it holds the current
+// token and one of lookahead, which is all the grammar reads. The lexer
+// reports its errors as it scans, so a token's lexical error is recorded
+// before any parse error at that token; Parse sorts them by offset.
 type parser struct {
 	file  *source.File
-	toks  []token.Token
-	pos   int
+	lex   *lexer.Lexer
+	tok   token.Token // current token
+	ahead token.Token // the token after it
 	diags *source.DiagList
 }
 
-func (p *parser) cur() token.Token  { return p.toks[p.pos] }
-func (p *parser) next() token.Token { t := p.toks[p.pos]; p.advance(); return t }
+func (p *parser) cur() token.Token  { return p.tok }
+func (p *parser) next() token.Token { t := p.tok; p.advance(); return t }
 
+// advance moves to the next token; the first EOF is the last token.
 func (p *parser) advance() {
-	if p.pos < len(p.toks)-1 {
-		p.pos++
+	if p.tok.Kind == token.EOF {
+		return
+	}
+	p.tok = p.ahead
+	if p.ahead.Kind != token.EOF {
+		p.ahead = p.lex.Next()
 	}
 }
 
@@ -370,7 +381,7 @@ func (p *parser) parsePrimary() ast.Expr {
 	t := p.cur()
 	// Type keywords in expression position are conversion builtins:
 	// float(x), int(x).
-	if t.Kind.IsTypeKeyword() && p.pos+1 < len(p.toks) && p.toks[p.pos+1].Kind == token.LPAREN {
+	if t.Kind.IsTypeKeyword() && p.ahead.Kind == token.LPAREN {
 		p.advance()
 		p.advance()
 		call := &ast.CallExpr{Fn: &ast.Ident{NamePos: t.Pos, Name: t.Kind.String()}}

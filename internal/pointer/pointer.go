@@ -131,31 +131,19 @@ type Analysis struct {
 	siteOf           map[*ir.Alloc]*Site
 	funcs            map[string]*ir.Func
 	fieldInsensitive bool
-	// base is the analysis an overlay built by Rebind defers to for every
-	// local, allocation, function and summary it does not hold itself; nil
-	// for a solved analysis.
-	base *Analysis
 }
 
 // callee resolves a call target by name. Program.Func is a linear scan and
 // the solvers resolve the same names on every fixed-point pass, so the table
 // is built once up front.
-func (a *Analysis) callee(name string) *ir.Func {
-	for ; a != nil; a = a.base {
-		if f, ok := a.funcs[name]; ok {
-			return f
-		}
-	}
-	return nil
-}
+func (a *Analysis) callee(name string) *ir.Func { return a.funcs[name] }
 
 // memoKey keys the points-to solution in ir.Program.Memo.
 type memoKey struct{}
 
 // Of returns the program's field-sensitive analysis, solved once per
 // program and shared through ir.Program.Memo by every consumer. Callers
-// must not mutate the program afterwards; a clone being rewritten gets its
-// own view through Rebind.
+// must not mutate the program afterwards.
 func Of(prog *ir.Program) *Analysis {
 	return prog.Memo(memoKey{}, func() any { return Analyze(prog) }).(*Analysis)
 }
@@ -201,93 +189,10 @@ func analyze(prog *ir.Program, fieldInsensitive bool) *Analysis {
 	return a
 }
 
-// Rebind adapts the analysis to a program built with ir.Program.CloneShared
-// from a.Prog: every function is shared except fnName, which was replaced by
-// a structurally identical (not yet rewritten) copy. Flow-insensitive
-// points-to facts depend only on program structure, so the solution carries
-// over verbatim — only the keys touching the replaced function need remapping
-// (locals by index, allocation sites by traversal order, the function's
-// summary by identity).
-//
-// The result is an overlay: it holds just those remapped keys and the
-// function's name, and defers every other query to the receiver, whose
-// result sets it shares. Building it costs one function, not one program,
-// and the receiver is neither copied nor mutated.
-//
-// Returns nil when the clone does not line up with the receiver's program
-// (different function, local count, or alloc count); callers fall back to a
-// full Analyze then.
-func (a *Analysis) Rebind(clone *ir.Program, fnName string) *Analysis {
-	orig := a.callee(fnName)
-	g := clone.Func(fnName)
-	if orig == nil || g == nil || g == orig ||
-		len(orig.Locals) != len(g.Locals) || len(orig.Blocks) != len(g.Blocks) {
-		return nil
-	}
-	// ir.Func.Clone preserves block and instruction order, so the two alloc
-	// streams line up one-to-one.
-	oa, ga := collectAllocs(orig), collectAllocs(g)
-	if len(oa) != len(ga) {
-		return nil
-	}
-	o := &Analysis{
-		Prog:             clone,
-		Sites:            a.Sites,
-		pts:              make(map[*ir.Local]siteSet, len(g.Locals)),
-		summaries:        map[*ir.Func]*ModRef{g: a.Summary(orig)},
-		siteOf:           make(map[*ir.Alloc]*Site, len(ga)),
-		funcs:            map[string]*ir.Func{fnName: g},
-		fieldInsensitive: a.fieldInsensitive,
-		base:             a,
-	}
-	for i, l := range orig.Locals {
-		if s := a.sitesOf(l); s != nil {
-			o.pts[g.Locals[i]] = s
-		}
-	}
-	for i := range oa {
-		s := a.site(oa[i])
-		if s == nil {
-			return nil
-		}
-		o.siteOf[ga[i]] = s
-	}
-	return o
-}
-
-func collectAllocs(fn *ir.Func) []*ir.Alloc {
-	var out []*ir.Alloc
-	for _, blk := range fn.Blocks {
-		for _, in := range blk.Instrs {
-			if al, ok := in.(*ir.Alloc); ok {
-				out = append(out, al)
-			}
-		}
-	}
-	return out
-}
-
 // sitesOf returns the sites l may point to (nil when none). Unlike the
 // solver's ptsOf it never inserts: a solved analysis is shared by
 // concurrent readers, so queries must not write it.
-func (a *Analysis) sitesOf(l *ir.Local) siteSet {
-	for ; a != nil; a = a.base {
-		if s, ok := a.pts[l]; ok {
-			return s
-		}
-	}
-	return nil
-}
-
-// site returns an allocation's site, or nil.
-func (a *Analysis) site(al *ir.Alloc) *Site {
-	for ; a != nil; a = a.base {
-		if s, ok := a.siteOf[al]; ok {
-			return s
-		}
-	}
-	return nil
-}
+func (a *Analysis) sitesOf(l *ir.Local) siteSet { return a.pts[l] }
 
 // ptsOf returns l's points-to set for the solver to grow, creating it on
 // first use.
@@ -498,14 +403,7 @@ func (a *Analysis) PointsTo(l *ir.Local) []*Site {
 
 // Summary returns the transitive mod/ref summary of fn (nil for a function
 // outside the program).
-func (a *Analysis) Summary(fn *ir.Func) *ModRef {
-	for ; a != nil; a = a.base {
-		if s, ok := a.summaries[fn]; ok {
-			return s
-		}
-	}
-	return nil
-}
+func (a *Analysis) Summary(fn *ir.Func) *ModRef { return a.summaries[fn] }
 
 // CallEffects returns the transitive mod/ref summary of a call instruction
 // (nil for builtins and unknown callees, which are effect-free by

@@ -1,11 +1,13 @@
 package pointer_test
 
 import (
+	"sync"
 	"testing"
 
 	"dca/internal/ir"
 	"dca/internal/irbuild"
 	"dca/internal/pointer"
+	"dca/internal/types"
 )
 
 func analyze(t *testing.T, src string) (*ir.Program, *pointer.Analysis) {
@@ -176,4 +178,40 @@ func TestRegionSetOps(t *testing.T) {
 	if got := s.Sorted(); len(got) != 1 || got[0] != r1 {
 		t.Errorf("Sorted = %v", got)
 	}
+}
+
+// TestConcurrentQueriesOnSharedAnalysis: one analysis, shared the way
+// pointer.Of shares it between engine workers, is queried from several
+// goroutines about locals it holds no entry for: the parameters of a
+// function nothing calls, and accesses through them. Queries must only
+// read the analysis; run under -race.
+func TestConcurrentQueriesOnSharedAnalysis(t *testing.T) {
+	prog, pa := analyze(t, `
+struct Node { v int; next *Node; }
+func unused(a []int, n *Node) { }
+func main() { print(1); }`)
+	fn := prog.Func("unused")
+	a, n := fn.Params[0], fn.Params[1]
+	accesses := []ir.Instr{
+		&ir.Load{Dst: &ir.Local{Name: "t", Type: types.IntType}, Base: ir.LocalOp(a), Index: ir.IntOp(0)},
+		&ir.Store{Base: ir.LocalOp(n), Index: ir.IntOp(0), Src: ir.IntOp(1), FieldName: "v"},
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, p := range fn.Params {
+				if s := pa.PointsTo(p); len(s) != 0 {
+					t.Errorf("PointsTo(%s) = %v, want none", p.Name, s)
+				}
+			}
+			for _, in := range accesses {
+				if r := pa.AccessRegions(in); len(r) != 0 {
+					t.Errorf("AccessRegions(%s) = %v, want none", in, r)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -113,7 +113,7 @@ func check(env *affine.Env, pa *pointer.Analysis, loop *cfg.Loop) []string {
 		return dedup(reasons)
 	}
 	// Scalars: inductions only.
-	for _, c := range scalar.Classify(env.Env, loop) {
+	for _, c := range env.Info[loop].Carried {
 		if c.Class != scalar.Induction {
 			reasons = append(reasons, fmt.Sprintf("loop-carried scalar %q (%s)", c.Local.Name, c.Class))
 		}

@@ -79,7 +79,7 @@ func Loop(prog *ir.Program, fnName string, loopIndex int, pur *purity.Info) Resu
 		return Result{Reason: why}
 	}
 	p := newProver(prog, fn, env, pointer.Of(prog), pur, loop)
-	carried := scalar.Classify(env.Env, loop)
+	carried := env.Info[loop].Carried
 
 	var whys []string
 	usedCalls, why := p.disjoint(carried)

@@ -42,6 +42,13 @@ type Carried struct {
 	Op ir.BinKind
 }
 
+// Onto returns c for fn, a Func.Clone of c.Local's function: the local
+// maps to its copy by index (ir.Func.LocalFor).
+func (c Carried) Onto(fn *ir.Func) Carried {
+	c.Local = fn.LocalFor(c.Local)
+	return c
+}
+
 // Env bundles the per-function analyses classification needs.
 type Env struct {
 	G  *cfg.Graph
