@@ -9,7 +9,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
 
 	"dca/internal/cfg"
@@ -17,7 +16,6 @@ import (
 	"dca/internal/ir"
 	"dca/internal/irbuild"
 	"dca/internal/pointer"
-	"dca/internal/types"
 	"dca/internal/workloads/npb"
 )
 
@@ -135,30 +133,48 @@ func (r render) effects(mr *pointer.ModRef) string {
 	return "reads " + r.regions(mr.Reads.Sorted()) + "; writes " + r.regions(mr.Writes.Sorted())
 }
 
-// diffViews compares every query two analyses of prog answer: PointsTo for
-// every local, AccessRegions for every load and store, CallEffects for
-// every call, each as a sorted set. It returns the first difference, or "".
-func diffViews(prog *ir.Program, got, want *pointer.Analysis) string {
+// diffViews compares every query the analysis of prog answers about prog
+// with what the analysis of clone, a CloneShared copy of prog not edited
+// since, answers about the clone's counterpart: PointsTo for every local,
+// AccessRegions for every load and store, CallEffects for every call, each
+// as a sorted set. Counterparts are found the way instrument.Build maps a
+// separation onto its clone: locals by index (Func.LocalFor), blocks by
+// position (Func.BlockFor) and instructions by position in their block. A
+// shared function is its own counterpart. It returns the first difference,
+// or "".
+func diffViews(prog, clone *ir.Program, base, fresh *pointer.Analysis) string {
 	r := render{}
 	for _, fn := range prog.Funcs {
+		cfn := clone.Func(fn.Name)
+		if cfn == nil || len(cfn.Locals) != len(fn.Locals) || len(cfn.Blocks) != len(fn.Blocks) {
+			return fmt.Sprintf("%s: the clone's copy does not line up", fn.Name)
+		}
 		for _, l := range fn.Locals {
-			if g, w := r.sites(got.PointsTo(l)), r.sites(want.PointsTo(l)); g != w {
-				return fmt.Sprintf("%s: PointsTo(%s) = [%s], want [%s]", fn.Name, l.Name, g, w)
+			if g, w := r.sites(base.PointsTo(l)), r.sites(fresh.PointsTo(cfn.LocalFor(l))); g != w {
+				return fmt.Sprintf("%s: PointsTo(%s) = [%s], fresh solve of the clone [%s]", fn.Name, l.Name, g, w)
 			}
 		}
 		for _, b := range fn.Blocks {
-			for _, in := range b.Instrs {
+			cb := cfn.BlockFor(fn, b)
+			if len(cb.Instrs) != len(b.Instrs) {
+				return fmt.Sprintf("%s: block %s of the clone's copy does not line up", fn.Name, b.Name)
+			}
+			for k, in := range b.Instrs {
 				var g, w string
 				switch i := in.(type) {
 				case *ir.Load, *ir.Store:
-					g, w = r.regions(got.AccessRegions(in)), r.regions(want.AccessRegions(in))
+					g, w = r.regions(base.AccessRegions(in)), r.regions(fresh.AccessRegions(cb.Instrs[k]))
 				case *ir.Call:
-					g, w = r.effects(got.CallEffects(i)), r.effects(want.CallEffects(i))
+					c, ok := cb.Instrs[k].(*ir.Call)
+					if !ok {
+						return fmt.Sprintf("%s: %s has no call at its position in the clone", fn.Name, in)
+					}
+					g, w = r.effects(base.CallEffects(i)), r.effects(fresh.CallEffects(c))
 				default:
 					continue
 				}
 				if g != w {
-					return fmt.Sprintf("%s: %s: got [%s], want [%s]", fn.Name, in, g, w)
+					return fmt.Sprintf("%s: %s: got [%s], fresh solve of the clone [%s]", fn.Name, in, g, w)
 				}
 			}
 		}
@@ -166,136 +182,26 @@ func diffViews(prog *ir.Program, got, want *pointer.Analysis) string {
 	return ""
 }
 
-// TestRebindMatchesFreshAnalysis: for every loop of the corpus, the overlay
-// Rebind builds over the program's shared analysis answers every query on
-// the instrumenter's clone exactly as a fresh solve of that clone does.
+// TestRebindMatchesFreshAnalysis: instrument.Build rebinds the facts the
+// program's shared analysis (pointer.Of) supports onto the CloneShared
+// clone of a loop's function by position, and analyses nothing afresh.
+// For every function with a loop in the corpus, the shared analysis,
+// queried about the program, must answer exactly as a fresh solve of the
+// clone answers about the clone's counterparts.
 func TestRebindMatchesFreshAnalysis(t *testing.T) {
 	for _, p := range rebindPrograms(t) {
 		t.Run(p.name, func(t *testing.T) {
 			t.Parallel()
 			base := pointer.Of(p.prog)
 			for _, fn := range p.prog.Funcs {
-				_, ls := cfg.LoopsOf(fn)
-				for _, l := range ls {
-					clone := p.prog.CloneShared(fn.Name)
-					view := base.Rebind(clone, fn.Name)
-					if view == nil {
-						t.Fatalf("%s L%d: Rebind refused a structurally identical clone", fn.Name, l.Index)
-					}
-					if d := diffViews(clone, view, pointer.Analyze(clone)); d != "" {
-						t.Fatalf("%s L%d: %s", fn.Name, l.Index, d)
-					}
+				if _, ls := cfg.LoopsOf(fn); len(ls) == 0 {
+					continue
+				}
+				clone := p.prog.CloneShared(fn.Name)
+				if d := diffViews(p.prog, clone, base, pointer.Analyze(clone)); d != "" {
+					t.Fatalf("clone of %s: %s", fn.Name, d)
 				}
 			}
 		})
 	}
-}
-
-const shapeSrc = `
-struct Node { v int; next *Node; }
-func f(n int) *Node {
-	var head *Node = nil;
-	for (var i int = 0; i < n; i++) {
-		var x *Node = new Node;
-		x.v = i;
-		x.next = head;
-		head = x;
-	}
-	return head;
-}
-func main() {
-	var h *Node = f(4);
-	var a []int = new [4]int;
-	for (var p *Node = h; p != nil; p = p.next) { a[p.v] = p.v; }
-	print(a[0]);
-}`
-
-// TestRebindShapeMismatch: a clone that does not line up with the analyzed
-// program yields nil, so instrument.Loop falls back to a full solve; an
-// overlay rebinds again like a solved analysis.
-func TestRebindShapeMismatch(t *testing.T) {
-	prog, base := analyze(t, shapeSrc)
-	for _, c := range []struct {
-		name  string
-		fn    string
-		clone func() *ir.Program
-	}{
-		{"unknown function", "g", func() *ir.Program { return prog.CloneShared("f") }},
-		{"function shared, not cloned", "f", func() *ir.Program { return prog.CloneShared("main") }},
-		{"extra local", "f", func() *ir.Program {
-			q := prog.CloneShared("f")
-			q.Func("f").NewTemp(types.IntType)
-			return q
-		}},
-		{"extra block", "f", func() *ir.Program {
-			q := prog.CloneShared("f")
-			b := q.Func("f").NewBlock("extra")
-			b.Term = &ir.Goto{Target: b}
-			return q
-		}},
-		{"allocation dropped", "f", func() *ir.Program {
-			q := prog.CloneShared("f")
-			for _, b := range q.Func("f").Blocks {
-				for k, in := range b.Instrs {
-					if al, ok := in.(*ir.Alloc); ok {
-						b.Instrs[k] = &ir.Mov{Dst: al.Dst, Src: ir.ConstOp(ir.NilVal())}
-					}
-				}
-			}
-			return q
-		}},
-	} {
-		q := c.clone()
-		if base.Rebind(q, c.fn) != nil {
-			t.Errorf("%s: Rebind returned a view for a mismatched clone", c.name)
-		}
-	}
-
-	// An overlay of an overlay still matches a fresh solve.
-	c1 := prog.CloneShared("f")
-	v1 := base.Rebind(c1, "f")
-	c2 := c1.CloneShared("main")
-	v2 := v1.Rebind(c2, "main")
-	if v1 == nil || v2 == nil {
-		t.Fatal("Rebind refused a structurally identical clone")
-	}
-	if d := diffViews(c2, v2, pointer.Analyze(c2)); d != "" {
-		t.Fatal(d)
-	}
-}
-
-// TestConcurrentQueriesOnSharedAnalysis: one analysis, shared the way
-// pointer.Of shares it between engine workers, is queried from several
-// goroutines about locals it holds no entry for: the parameters of a
-// function nothing calls, and accesses through them. Queries must only
-// read the analysis; run under -race.
-func TestConcurrentQueriesOnSharedAnalysis(t *testing.T) {
-	prog, pa := analyze(t, `
-struct Node { v int; next *Node; }
-func unused(a []int, n *Node) { }
-func main() { print(1); }`)
-	fn := prog.Func("unused")
-	a, n := fn.Params[0], fn.Params[1]
-	accesses := []ir.Instr{
-		&ir.Load{Dst: &ir.Local{Name: "t", Type: types.IntType}, Base: ir.LocalOp(a), Index: ir.IntOp(0)},
-		&ir.Store{Base: ir.LocalOp(n), Index: ir.IntOp(0), Src: ir.IntOp(1), FieldName: "v"},
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for _, p := range fn.Params {
-				if s := pa.PointsTo(p); len(s) != 0 {
-					t.Errorf("PointsTo(%s) = %v, want none", p.Name, s)
-				}
-			}
-			for _, in := range accesses {
-				if r := pa.AccessRegions(in); len(r) != 0 {
-					t.Errorf("AccessRegions(%s) = %v, want none", in, r)
-				}
-			}
-		}()
-	}
-	wg.Wait()
 }
