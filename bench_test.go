@@ -25,6 +25,7 @@ import (
 	"dca/internal/iterrec"
 	"dca/internal/parallel"
 	"dca/internal/pointer"
+	"dca/internal/sandbox"
 	"dca/internal/workloads/npb"
 	"dca/internal/workloads/plds"
 )
@@ -231,8 +232,8 @@ func BenchmarkAblationSnapshot(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			rt := dcart.NewRuntime(dcart.Identity{})
 			rt.DebugSnapshots = true
-			if _, err := interp.Run(inst.Prog, interp.Config{Runtime: rt}); err != nil {
-				b.Fatal(err)
+			if oc := sandbox.Run(nil, inst.Prog, interp.Config{Runtime: rt}, sandbox.Limits{}, nil); !oc.OK() {
+				b.Fatal(oc.Trap)
 			}
 			if len(rt.Snapshots) != 1 || len(rt.SnapshotStrings[0]) < 200 {
 				b.Fatal("deep snapshot should serialize the array")
@@ -320,22 +321,22 @@ func BenchmarkParallelDoall(b *testing.B) {
 	}
 }
 
-// BenchmarkInterp measures raw interpreter throughput (the substrate cost
-// every dynamic analysis pays).
+// BenchmarkInterp measures raw execution throughput of a sandboxed run on
+// the VM (the substrate cost every dynamic analysis pays).
 func BenchmarkInterp(b *testing.B) {
 	prog, err := irbuild.Compile("par.mc", parallelSrc)
 	if err != nil {
 		b.Fatal(err)
 	}
-	res, err := interp.Run(prog, interp.Config{})
-	if err != nil {
-		b.Fatal(err)
+	oc := sandbox.Run(nil, prog, interp.Config{}, sandbox.Limits{}, nil)
+	if !oc.OK() {
+		b.Fatal(oc.Trap)
 	}
-	b.SetBytes(res.Steps) // steps per op, reported as "MB/s" = Msteps/s
+	b.SetBytes(oc.Result.Steps) // steps per op, reported as "MB/s" = Msteps/s
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := interp.Run(prog, interp.Config{}); err != nil {
-			b.Fatal(err)
+		if oc := sandbox.Run(nil, prog, interp.Config{}, sandbox.Limits{}, nil); !oc.OK() {
+			b.Fatal(oc.Trap)
 		}
 	}
 }

@@ -10,15 +10,13 @@ import (
 	"log"
 	"strings"
 
-	"dca/internal/cfg"
-	"dca/internal/dataflow"
 	"dca/internal/dcart"
 	"dca/internal/instrument"
 	"dca/internal/interp"
+	"dca/internal/ir"
 	"dca/internal/irbuild"
-	"dca/internal/iterrec"
 	"dca/internal/parallel"
-	"dca/internal/pointer"
+	"dca/internal/sandbox"
 )
 
 const src = `
@@ -49,16 +47,14 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fn := prog.Func("main")
-	g, loops := cfg.LoopsOf(fn)
-	loop := loops[1] // the map loop
-	fmt.Printf("analyzing %s\n\n", loop.ID())
 
-	// --- Static stage: iterator/payload separation. ---
-	sep := iterrec.Separate(g, cfg.ComputePostDom(g), loop, pointer.Of(prog), dataflow.ComputeLiveness(g))
-	if !sep.OK {
-		log.Fatalf("not separable: %s", sep.Reason)
+	// --- Static stage: iterator/payload separation of the map loop. ---
+	s, err := instrument.Separate(prog, "main", 1)
+	if err != nil {
+		log.Fatal(err)
 	}
+	fmt.Printf("analyzing %s\n\n", s.LoopID)
+	sep := s.Sep
 	var iters []string
 	for in := range sep.IterInstrs {
 		iters = append(iters, fmt.Sprint(in))
@@ -68,37 +64,39 @@ func main() {
 		sep.PayloadInstrCount, len(sep.IterLocals), len(sep.EnvLocals))
 
 	// --- Instrumentation + dynamic stage. ---
-	inst, err := instrument.Loop(prog, "main", loop.Index)
+	inst, err := instrument.Build(prog, s)
 	if err != nil {
 		log.Fatal(err)
 	}
-	var goldenOut, permOut strings.Builder
 	golden := dcart.NewRuntime(dcart.Identity{})
-	if _, err := interp.Run(inst.Prog, interp.Config{Out: &goldenOut, Runtime: golden}); err != nil {
-		log.Fatal(err)
-	}
+	goldenOut := run(inst.Prog, golden)
 	perm := dcart.NewRuntime(dcart.Reverse{})
-	if _, err := interp.Run(inst.Prog, interp.Config{Out: &permOut, Runtime: perm}); err != nil {
-		log.Fatal(err)
-	}
-	same := golden.Snapshots[0] == perm.Snapshots[0] && goldenOut.String() == permOut.String()
+	permOut := run(inst.Prog, perm)
+	same := golden.Snapshots[0] == perm.Snapshots[0] && goldenOut == permOut
 	fmt.Printf("golden vs reversed execution: live-outs identical = %v -> commutative\n\n", same)
 
 	// --- Exploitation: run the payload in parallel for real. ---
-	var seqOut strings.Builder
-	if _, err := interp.Run(prog, interp.Config{Out: &seqOut}); err != nil {
-		log.Fatal(err)
-	}
+	seqOut := run(prog, nil)
 	var parOut strings.Builder
 	res, err := parallel.RunLoop(inst, parallel.Options{Workers: 8, Out: &parOut})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("parallel execution over %d workers: %d iterations\n", res.Workers, res.Iterations)
-	fmt.Printf("sequential output: %sparallel output:   %s", seqOut.String(), parOut.String())
-	if seqOut.String() == parOut.String() {
+	fmt.Printf("sequential output: %sparallel output:   %s", seqOut, parOut.String())
+	if seqOut == parOut.String() {
 		fmt.Println("results match.")
 	} else {
 		fmt.Println("MISMATCH — this would be a bug.")
 	}
+}
+
+// run executes prog in the sandbox with rt servicing its intrinsics and
+// returns what it printed.
+func run(prog *ir.Program, rt interp.Runtime) string {
+	var out strings.Builder
+	if oc := sandbox.Run(nil, prog, interp.Config{Out: &out, Runtime: rt}, sandbox.Limits{}, nil); !oc.OK() {
+		log.Fatal(oc.Trap)
+	}
+	return out.String()
 }

@@ -106,20 +106,28 @@ type envKey struct{ fn *ir.Func }
 // EnvOf returns fn's environment, built once per function of prog and
 // shared through prog.Memo by every consumer (the static baselines, the
 // dependence profilers' classification, the prover and the instrumenter).
-// The environment is read-only once built. fn must be a function of prog
-// that is no longer rewritten: the instrumenter, which rewrites a clone,
-// maps what it needs from the original's environment onto the clone.
+// It is built on the program's graph and loop forest (cfg.Forest), so its
+// Loops are cfg.Loops(prog, fn), pointer for pointer. The environment is
+// read-only once built. fn must be a function of prog that is no longer
+// rewritten: the instrumenter, which rewrites a clone, maps what it needs
+// from the original's environment onto the clone.
 func EnvOf(prog *ir.Program, fn *ir.Func) *Env {
-	return prog.Memo(envKey{fn}, func() any { return NewEnv(fn) }).(*Env)
+	return prog.Memo(envKey{fn}, func() any {
+		g, loops := cfg.Forest(prog, fn)
+		return newEnv(g, loops)
+	}).(*Env)
 }
 
-// NewEnv analyzes all loops of fn. Most callers want the memoized EnvOf.
-func NewEnv(fn *ir.Func) *Env {
-	senv := scalar.NewEnv(fn)
+// NewEnv analyzes all loops of fn on a fresh graph and loop forest. Most
+// callers want the memoized EnvOf.
+func NewEnv(fn *ir.Func) *Env { return newEnv(cfg.LoopsOf(fn)) }
+
+func newEnv(g *cfg.Graph, loops []*cfg.Loop) *Env {
+	fn := g.Fn
 	env := &Env{
-		Env:     senv,
+		Env:     scalar.EnvOn(g),
 		Fn:      fn,
-		Loops:   senv.G.FindLoops(),
+		Loops:   loops,
 		Info:    map[*cfg.Loop]*LoopInfo{},
 		IVSteps: map[*ir.Local]int64{},
 		ivLoop:  map[*ir.Local]*cfg.Loop{},

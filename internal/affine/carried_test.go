@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
 
 	"dca/internal/affine"
+	"dca/internal/cfg"
 	"dca/internal/depprof"
 	"dca/internal/discopop"
 	"dca/internal/fuzzgen"
@@ -32,7 +34,9 @@ const traceSteps = 2_000_000
 // fuzzgen seeds 1-300, and it is still the same slice with the same
 // contents after every reader has run over the program: the static
 // baselines (Polly, ICC, Idioms), the dependence profilers (DepProf,
-// DiscoPoP), the prover and the instrumenter.
+// DiscoPoP), the prover and the instrumenter. The environment's loops are
+// the program's one loop forest (cfg.Loops), pointer for pointer, even when
+// readers of both race to build them first.
 func TestCarriedComputedOnce(t *testing.T) {
 	type named struct {
 		name    string
@@ -62,6 +66,7 @@ func TestCarriedComputedOnce(t *testing.T) {
 				info        *affine.LoopInfo
 				shared, was []scalar.Carried
 			}
+			firstReaders(t, prog)
 			var entries []entry
 			for _, fn := range prog.Funcs {
 				env := affine.EnvOf(prog, fn)
@@ -101,5 +106,45 @@ func TestCarriedComputedOnce(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// firstReaders races readers of the environments and of the loop forests
+// to build them first, half of them reading each function's forest before
+// its environment, and checks that every reader got the one environment,
+// whose loops are the stored forest's.
+func firstReaders(t *testing.T, prog *ir.Program) {
+	t.Helper()
+	const readers = 4
+	envs := make([][]*affine.Env, readers)
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for _, fn := range prog.Funcs {
+				if r%2 == 0 {
+					cfg.Loops(prog, fn)
+				}
+				envs[r] = append(envs[r], affine.EnvOf(prog, fn))
+			}
+		}(r)
+	}
+	wg.Wait()
+	for i, fn := range prog.Funcs {
+		env, loops := envs[0][i], cfg.Loops(prog, fn)
+		for r := 1; r < readers; r++ {
+			if envs[r][i] != env {
+				t.Fatalf("%s: reader %d got a different environment", fn.Name, r)
+			}
+		}
+		if len(env.Loops) != len(loops) {
+			t.Fatalf("%s: environment has %d loops, forest %d", fn.Name, len(env.Loops), len(loops))
+		}
+		for j, l := range loops {
+			if env.Loops[j] != l {
+				t.Errorf("%s: environment loop %d is not the forest's %s", fn.Name, j, l.ID())
+			}
+		}
 	}
 }

@@ -316,17 +316,30 @@ func LoopsOf(fn *ir.Func) (*Graph, []*Loop) {
 	return g, g.FindLoops()
 }
 
-// forestKey keys one function's loop forest in ir.Program.Memo.
+// forestKey keys one function's graph and loop forest in ir.Program.Memo.
 type forestKey struct{ fn *ir.Func }
 
-// Loops returns fn's loops as LoopsOf finds them, built once per function
-// of prog and shared through prog.Memo by every reader of the program; the
-// loops are read-only. fn must be a function of prog that is no longer
-// rewritten: the instrumenter, which rewrites a clone, maps the original's
-// loop onto it (Loop.Onto).
+type forest struct {
+	g     *Graph
+	loops []*Loop
+}
+
+// Forest returns fn's graph and loops as LoopsOf builds them, once per
+// function of prog, shared through prog.Memo by every reader of the
+// program (the affine environment builds its analyses on this graph and
+// takes its loops from it); both are read-only. fn must be a function of
+// prog that is no longer rewritten: the instrumenter, which rewrites a
+// clone, maps the original's loop onto it (Loop.Onto).
+func Forest(prog *ir.Program, fn *ir.Func) (*Graph, []*Loop) {
+	f := prog.Memo(forestKey{fn}, func() any {
+		g, loops := LoopsOf(fn)
+		return &forest{g, loops}
+	}).(*forest)
+	return f.g, f.loops
+}
+
+// Loops returns fn's loops from Forest.
 func Loops(prog *ir.Program, fn *ir.Func) []*Loop {
-	return prog.Memo(forestKey{fn}, func() any {
-		_, loops := LoopsOf(fn)
-		return loops
-	}).([]*Loop)
+	_, loops := Forest(prog, fn)
+	return loops
 }

@@ -1,10 +1,9 @@
 // Package interp is a tree-walking interpreter for the IR and the
 // execution contract both executors share: Config, Tracer, StepTrip, the
 // step and budget semantics and the error taxonomy. The bytecode VM
-// (internal/vm) runs every sandboxed execution to this contract. The
-// tree-walker is its differential oracle (the vm parity tests, dca fuzz's
-// exec-divergence leg) and still runs the parallel executor
-// (internal/parallel) and the linkedlist example.
+// (internal/vm) runs every sandboxed execution and the parallel executor's
+// workers to this contract. The tree-walker is its differential oracle
+// (the vm parity tests, dca fuzz's exec-divergence leg).
 package interp
 
 import (

@@ -5,10 +5,18 @@
 // scalar reductions are re-combined with their operator after the join, and
 // loops whose shared state cannot be privatized are refused.
 //
-// The executor reuses the instrumented program: at @rt_iterator_permute it
-// hijacks the driver — payload calls are issued from a worker pool, each
-// worker running its own interpreter over the shared heap, and the
-// sequential IR driver loop is then skipped.
+// The executor reuses the instrumented program: its driver, the whole
+// program, runs in the sandbox on the bytecode VM, and at
+// @rt_iterator_permute the runtime hijacks it — payload calls are issued
+// from a worker pool, each worker running its own VM machine over the
+// shared heap, and the sequential IR driver loop is then skipped.
+//
+// Machine lifetime: a payload may allocate an object and link it into the
+// shared heap (a[i] = new Node), so no worker machine may go back to the
+// pool (vm.Machine.Release resets its heap arena) before the driver's run
+// has returned, or the driver would read recycled cells. Worker machines
+// are therefore never released: each is dropped after its section, and the
+// collector keeps the chunks its objects live in.
 package parallel
 
 import (
@@ -25,6 +33,7 @@ import (
 	"dca/internal/ir"
 	"dca/internal/sandbox"
 	"dca/internal/scalar"
+	"dca/internal/vm"
 )
 
 // Options configures parallel execution.
@@ -75,8 +84,9 @@ func RunLoop(inst *instrument.Instrumented, opt Options) (*Result, error) {
 		return nil, err
 	}
 	rt.ctx = ctx
-	if _, err := interp.Run(inst.Prog, interp.Config{Out: opt.Out, Runtime: rt, MaxSteps: opt.MaxSteps, Ctx: ctx}); err != nil {
-		return nil, err
+	oc := sandbox.Run(ctx, inst.Prog, interp.Config{Out: opt.Out, Runtime: rt}, sandbox.Limits{MaxSteps: opt.MaxSteps}, nil)
+	if !oc.OK() {
+		return nil, oc.Trap
 	}
 	return &Result{Invocations: rt.invocations, Iterations: rt.iterations, Workers: opt.Workers}, nil
 }
@@ -283,11 +293,7 @@ func (rt *rtImpl) runParallel(parent interp.Env, env *ir.Object) error {
 	}
 	// One faulting worker cancels its siblings so the pool joins promptly
 	// instead of letting them run their chunks to completion (or forever).
-	base := rt.ctx
-	if base == nil {
-		base = context.Background()
-	}
-	ctx, cancel := context.WithCancel(base)
+	ctx, cancel := context.WithCancel(rt.ctx)
 	defer cancel()
 	for w, bd := range bounds {
 		wg.Add(1)
@@ -302,15 +308,16 @@ func (rt *rtImpl) runParallel(parent interp.Env, env *ir.Object) error {
 					cancel()
 				}
 			}()
-			wi := interp.New(rt.inst.Prog, interp.Config{Out: rt.opt.Out, MaxSteps: rt.opt.MaxSteps, Ctx: ctx, Trip: rt.opt.Inject.StepTrip()})
+			m := vm.New(rt.inst.Prog, interp.Config{Out: rt.opt.Out, MaxSteps: rt.opt.MaxSteps, Ctx: ctx, Trip: rt.opt.Inject.StepTrip()})
 			envArg := ir.RefVal(envs[w])
+			var args []ir.Value
 			for k := lo; k < hi; k++ {
 				if ctx.Err() != nil {
-					errs[w] = &interp.CancelError{Fn: payload.Name, Steps: wi.Steps(), Cause: ctx.Err()}
+					errs[w] = &interp.CancelError{Fn: payload.Name, Steps: m.Steps(), Cause: ctx.Err()}
 					return
 				}
-				args := append(append([]ir.Value(nil), rt.records[k]...), envArg)
-				if _, err := wi.Call(payload, args, nil); err != nil {
+				args = append(append(args[:0], rt.records[k]...), envArg)
+				if _, err := m.Call(payload, args, nil); err != nil {
 					switch sandbox.Classify(err) {
 					case sandbox.Budget:
 						errs[w] = fmt.Errorf("parallel: worker %d exhausted its budget at iteration %d: %w", w, k, err)

@@ -167,3 +167,60 @@ func main() {
 		}
 	}
 }
+
+// TestWorkerAllocationsOutliveSection: objects a worker allocates and links
+// into the shared heap stay valid after the parallel section, across later
+// sections and across the driver's own allocations in between, so a
+// worker's machine must not be recycled before the driver's run returns.
+func TestWorkerAllocationsOutliveSection(t *testing.T) {
+	prog, err := irbuild.Compile("t.mc", `
+struct Cell { v int; w int; }
+func fill(cells []*Cell, base int) {
+	for (var i int = 0; i < 40; i++) {
+		var c *Cell = new Cell;
+		c->v = base + i;
+		c->w = i * 3 + 1;
+		cells[i] = c;
+	}
+}
+func main() {
+	var a []*Cell = new [40]*Cell;
+	var b []*Cell = new [40]*Cell;
+	var c []*Cell = new [40]*Cell;
+	fill(a, 0);
+	var junk []*Cell = new [40]*Cell;
+	for (var i int = 0; i < 40; i++) { junk[i] = new Cell; junk[i]->v = -1; }
+	fill(b, 1000);
+	for (var i int = 0; i < 40; i++) { junk[i] = new Cell; junk[i]->w = -2; }
+	fill(c, 5000);
+	var s int = 0;
+	for (var i int = 0; i < 40; i++) {
+		s += a[i]->v * 7 + a[i]->w + b[i]->v * 11 + b[i]->w + c[i]->v * 13 + c[i]->w;
+	}
+	print(s);
+}`)
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	var seq strings.Builder
+	if _, err := interp.Run(prog, interp.Config{Out: &seq}); err != nil {
+		t.Fatalf("sequential run: %v", err)
+	}
+	inst, err := instrument.Loop(prog, "fill", 0)
+	if err != nil {
+		t.Fatalf("instrument: %v", err)
+	}
+	for _, workers := range []int{1, 2, 8} {
+		var par strings.Builder
+		res, err := parallel.RunLoop(inst, parallel.Options{Workers: workers, Out: &par})
+		if err != nil {
+			t.Fatalf("%d workers: %v", workers, err)
+		}
+		if res.Invocations != 3 || res.Iterations != 120 {
+			t.Errorf("%d workers: %d invocations, %d iterations; want 3 and 120", workers, res.Invocations, res.Iterations)
+		}
+		if par.String() != seq.String() {
+			t.Errorf("%d workers: output %q, sequential %q", workers, par.String(), seq.String())
+		}
+	}
+}

@@ -56,9 +56,11 @@ type Env struct {
 	LV *dataflow.Liveness
 }
 
-// NewEnv computes the analyses for fn.
-func NewEnv(fn *ir.Func) *Env {
-	g := cfg.New(fn)
+// NewEnv computes the analyses for fn on a fresh graph.
+func NewEnv(fn *ir.Func) *Env { return EnvOn(cfg.New(fn)) }
+
+// EnvOn computes the analyses on g.
+func EnvOn(g *cfg.Graph) *Env {
 	return &Env{G: g, PD: cfg.ComputePostDom(g), LV: dataflow.ComputeLiveness(g)}
 }
 

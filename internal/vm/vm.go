@@ -13,16 +13,21 @@
 // wrapping per frame, Runtime intrinsics (via interp.Env), interp.Tracer
 // events (same points, same order), the step trip, and panic behaviour. A
 // run without a tracer pays one nil check per event site.
-// internal/sandbox runs every execution on the VM; the tree-walker stays
-// as its differential oracle (the parity tests here and dca fuzz's
-// exec-divergence leg).
+// internal/sandbox runs every execution on the VM, and internal/parallel
+// its workers; the tree-walker stays as its differential oracle (the
+// parity tests here and dca fuzz's exec-divergence leg).
 //
 // Arena lifetime rules: frames and their register slices live on per-machine
 // LIFO arenas and are reused after the frame returns — a Runtime or Tracer
 // must not retain a *interp.Frame, its Locals or an intrinsic args slice
 // beyond the callback (the in-tree runtimes copy what they keep). Heap
 // objects are carved from append-only chunks that stay reachable through
-// the program's own references, so escaping a ref is always safe.
+// the program's own references, so escaping a ref is always safe — until
+// Release resets the chunks. So a machine whose objects another run may
+// still reach must not be released before that run has returned: a
+// parallel worker's payload can link what it allocates into the driver's
+// heap (a[i] = new Node), so internal/parallel never releases a worker
+// machine. A machine whose run panicked is never released either.
 package vm
 
 import (
